@@ -60,6 +60,7 @@ from .schubert import (
     minimal_coset_reps,
     multiply_by_divisors,
     unit_cycle,
+    volume_polynomial,
 )
 from .stability import (
     BOUNDARY,

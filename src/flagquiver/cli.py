@@ -14,7 +14,7 @@ from . import quiver as quiver_mod
 from .errors import BudgetExceeded, FlagQuiverError
 from .parabolic import build_parabolic
 from .rootsys import build_root_system
-from .schubert import DEFAULT_BUDGET, intersection_number
+from .schubert import DEFAULT_BUDGET, intersection_number, volume_polynomial
 from .stability import (
     STABLE,
     boundary_2d,
@@ -197,11 +197,10 @@ def cmd_intersections(args):
     system = build_root_system(args.series, args.rank)
     (sigma,) = _parse_parabolic(args.parabolic, system)
     p = build_parabolic(system, sigma)
-    rows = []
-    for exps in _all_exponents(p.dim, len(sigma)):
-        value = intersection_number(p, exps, args.budget)
-        if value:
-            rows.append((exps, value))
+    rows = [
+        (exps, intersection_number(p, exps, args.budget))
+        for exps, _ in volume_polynomial(p, args.budget).sorted_items()
+    ]
     if args.output == "json":
         data = [{"exps": list(e), "value": v} for e, v in rows]
         _emit(args, _dumps(data))
@@ -212,15 +211,6 @@ def cmd_intersections(args):
         ]
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def _all_exponents(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _all_exponents(total - first, parts - 1):
-            yield (first,) + rest
 
 
 def _inequality_json(ineq):

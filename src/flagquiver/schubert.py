@@ -1,8 +1,12 @@
-"""Exact Schubert calculus on G/P via iterated divisor multiplication.
+"""Exact intersection theory on G/P.
 
-Weyl group elements are keyed by the image of the Weyl vector, which is
-regular, so the key is faithful; minimal coset representatives are grown
-by length with a breadth-first search.
+Intersection numbers of the marked divisors come from the volume
+polynomial, which the Weyl dimension formula gives in closed form.  The
+cycle-level Schubert calculus (iterated divisor multiplication) stays
+available as an independent route.  Weyl group elements are keyed by the
+image of the Weyl vector, which is regular, so the key is faithful;
+minimal coset representatives are grown by length with a breadth-first
+search.
 """
 from __future__ import annotations
 
@@ -85,15 +89,26 @@ def coset_count(p):
     return total // levi
 
 
+def _check_budget(p, budget):
+    """Refuse a parabolic whose |W/W_P| exceeds the budget.
+
+    Runs before any cache lookup or expansion, so the answer does not
+    depend on what an earlier call with a larger budget has cached.
+    """
+    count = coset_count(p)
+    if count > budget:
+        raise BudgetExceeded(f"|W/W_P| = {count} exceeds the budget {budget}")
+
+
+def _cache_key(p):
+    return (p.system.series, p.system.rank, p.sigma)
+
+
 class _CosetTable:
     """All minimal coset representatives, indexed by canonical key."""
 
-    def __init__(self, p, budget):
+    def __init__(self, p):
         system = p.system
-        if coset_count(p) > budget:
-            raise BudgetExceeded(
-                f"|W/W_P| = {coset_count(p)} exceeds the budget {budget}"
-            )
         self.parabolic = p
         simples = [a.coords2 for a in system.simple_roots]
         posroots = set(r.coords2 for r in system.positive_roots)
@@ -126,23 +141,16 @@ class _CosetTable:
             if nxt:
                 self.by_length.append(sorted(nxt, key=lambda e: e.canonical_key))
             frontier = nxt
-        self._intersection_cache = {}
-
-    @property
-    def top_key(self):
-        top = self.by_length[-1]
-        if len(top) != 1:
-            raise RuntimeError("expected a unique element of maximal length")
-        return top[0].canonical_key
 
 
 _TABLE_CACHE = {}
 
 
 def _coset_table(p, budget=DEFAULT_BUDGET):
-    key = (p.system.series, p.system.rank, p.sigma, budget)
+    _check_budget(p, budget)
+    key = _cache_key(p)
     if key not in _TABLE_CACHE:
-        _TABLE_CACHE[key] = _CosetTable(p, budget)
+        _TABLE_CACHE[key] = _CosetTable(p)
     return _TABLE_CACHE[key]
 
 
@@ -209,56 +217,108 @@ def multiply_by_divisors(p, divisor_sequence, budget=DEFAULT_BUDGET):
     return cycle
 
 
+_VOLUME_CACHE = {}
+
+
+def volume_polynomial(p, budget=DEFAULT_BUDGET):
+    """The volume polynomial P(a) = (sum_j a_j H_j)^dim of G/P.
+
+    Variables follow the marked indices in increasing order, and H_j is
+    the divisor of the fundamental weight omega_j.  The coefficient of
+    a^e is multinomial(dim, e) times the top intersection number H^e.
+    By Borel-Hirzebruch (Characteristic classes and homogeneous spaces I,
+    1958), the degree of the line bundle of lambda = sum_j a_j omega_j is
+    the leading term of the Weyl dimension formula:
+
+        P(a) = dim! * prod_alpha (sum_j a_j [alpha:alpha_j]) / <rho, alpha>
+
+    over the nilradical roots alpha, where [alpha:alpha_j] is the
+    coefficient of alpha_j in alpha (simply laced, so alpha^vee has the
+    same coefficients).  The linear forms are multiplied out exactly and
+    every division is checked.  ``budget`` caps |W/W_P| as for the
+    Schubert route, checked by formula before anything is expanded.
+    """
+    _check_budget(p, budget)
+    key = _cache_key(p)
+    if key not in _VOLUME_CACHE:
+        _VOLUME_CACHE[key] = _expand_volume(p)
+    return _VOLUME_CACHE[key]
+
+
+def _expand_volume(p):
+    system = p.system
+    k = len(p.sigma)
+    # an exponent tuple e is packed as sum_j e_j * base**j, so multiplying
+    # a monomial by a_j adds base**j; no exponent exceeds dim < base
+    base = p.dim + 1
+    steps = [base**pos for pos in range(k)]
+    terms = {0: 1}
+    heights = 1
+    for alpha in p.nilradical_weights:
+        exp = system.expansion(alpha)
+        form = [(steps[pos], exp[i - 1]) for pos, i in enumerate(p.sigma) if exp[i - 1]]
+        heights *= system.height(alpha)
+        nxt = {}
+        for packed, coeff in terms.items():
+            for step, mult in form:
+                target = packed + step
+                nxt[target] = nxt.get(target, 0) + coeff * mult
+        terms = nxt
+    scale = factorial(p.dim)
+    out = {}
+    for packed, coeff in terms.items():
+        value, rem = divmod(coeff * scale, heights)
+        if rem:
+            raise ArithmeticError("volume coefficient is not an integer")
+        exps = []
+        for _ in range(k):
+            packed, e = divmod(packed, base)
+            exps.append(e)
+        out[tuple(exps)] = value
+    return IntPoly(k, out)
+
+
+def _exact_div(a, b):
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"{a} is not divisible by {b}")
+    return q
+
+
 def intersection_number(p, exponents, budget=DEFAULT_BUDGET):
     """Top intersection number of a divisor monomial.
 
     ``exponents`` gives one multiplicity per marked index (in increasing
-    index order) and must sum to dim G/P.
+    index order) and must sum to dim G/P.  Read off the volume
+    polynomial: the coefficient of a^e divided by multinomial(dim, e).
     """
     exponents = tuple(int(e) for e in exponents)
     if len(exponents) != len(p.sigma) or any(e < 0 for e in exponents):
         raise ValueError("need one nonnegative exponent per marked index")
     if sum(exponents) != p.dim:
         raise ValueError("exponents must sum to dim G/P")
-    table = _coset_table(p, budget)
-    cached = table._intersection_cache.get(exponents)
-    if cached is not None:
-        return cached
-    sequence = []
-    for i, e in zip(p.sigma, exponents):
-        sequence.extend([i] * e)
-    cycle = multiply_by_divisors(p, sequence, budget)
-    value = cycle.coefficients.get(table.top_key, 0)
-    table._intersection_cache[exponents] = value
-    return value
+    coeff = volume_polynomial(p, budget).terms.get(exponents, 0)
+    return _exact_div(coeff, multinomial(p.dim, exponents))
 
 
 def intersection_polynomial(p, degree, budget=DEFAULT_BUDGET):
     """For each marked index i, the polynomial H_i . (sum_j a_j H_j)^degree.
 
     Exponent tuples follow the marked indices in increasing order; the
-    degree must be dim G/P - 1 so each entry is a top intersection.
+    degree must be dim G/P - 1 so each entry is a top intersection.  The
+    polynomial for position i is (1/dim) dP/da_i of the volume polynomial.
     """
     if degree != p.dim - 1:
         raise ValueError("degree must be dim G/P - 1")
+    volume = volume_polynomial(p, budget)
     k = len(p.sigma)
     polys = {}
     for pos in range(k):
         terms = {}
-        for exps in _compositions(degree, k):
-            total = list(exps)
-            total[pos] += 1
-            value = intersection_number(p, total, budget)
-            if value:
-                terms[tuple(exps)] = multinomial(degree, exps) * value
+        for exps, coeff in volume.terms.items():
+            e = exps[pos]
+            if e:
+                lowered = exps[:pos] + (e - 1,) + exps[pos + 1:]
+                terms[lowered] = _exact_div(coeff * e, p.dim)
         polys[pos] = IntPoly(k, terms)
     return polys
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest

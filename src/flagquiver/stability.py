@@ -68,21 +68,32 @@ def stability_cone(p, budget=DEFAULT_BUDGET):
     The tangent bundle is H-stable exactly when every returned polynomial
     is positive at H.  Polynomials are normalized (common monomial and
     content divided out), which preserves signs on the ample cone.
+
+    For a subbundle S of rank rk, the constraint is
+    rk * deg(T) - dim * deg(S) = sum_i d_i H_i . H^(dim-1) with
+    d = rk * c1(T) - dim * c1(S): the derivative of the volume polynomial
+    along d, over dim, built in one pass over the partial derivatives.
     """
+    qpolys = intersection_polynomial(p, p.dim - 1, budget)
     trep = tangent_rep(p)
     comps = trep.components
-    qpolys = intersection_polynomial(p, p.dim - 1, budget)
     c1_total = c1_picard(p.tangent_weights, p)
     rk_total = p.dim
+    k = len(p.sigma)
     inequalities = []
     for subset in closed_subsets(trep.levi_rep, reduce=True):
         rk = sum(comps[ci].rank for ci in subset)
         sub_weights = [w for ci in subset for w in comps[ci].weights]
         c1 = c1_picard(sub_weights, p)
-        poly = IntPoly.zero(len(p.sigma))
-        for pos in range(len(p.sigma)):
-            poly = poly + qpolys[pos].scaled(rk * c1_total[pos] - rk_total * c1[pos])
-        inequalities.append(ConeInequality(subset, poly.normalized(), True))
+        terms = {}
+        for pos in range(k):
+            d = rk * c1_total[pos] - rk_total * c1[pos]
+            if d:
+                for exps, coeff in qpolys[pos].terms.items():
+                    terms[exps] = terms.get(exps, 0) + d * coeff
+        inequalities.append(
+            ConeInequality(subset, IntPoly(k, terms).normalized(), True)
+        )
     return inequalities
 
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -160,11 +161,19 @@ def test_cone_boundary_matches_closed_form(capsys):
 
 
 def test_budget_exit_code(capsys):
-    code, out, err = run_cli(
-        capsys,
-        ["cone", "--series", "E", "--rank", "7", "--parabolic", "borel"],
-    )
-    assert code == 4
+    # |W/W_P| is checked by formula before anything is expanded, so these
+    # exit at once; expanding E7/B or E8/B would not finish
+    for command in ("cone", "intersections"):
+        for rank in (7, 8):
+            start = time.perf_counter()
+            code, out, err = run_cli(
+                capsys,
+                [command, "--series", "E", "--rank", str(rank), "--parabolic", "borel"],
+            )
+            assert code == 4
+            assert out == ""
+            assert "exceeds the budget" in err
+            assert time.perf_counter() - start < 30
 
 
 def test_king_unstable_with_witness(capsys):

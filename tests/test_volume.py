@@ -1,0 +1,123 @@
+"""The volume polynomial against the Schubert divisor chain, exactly.
+
+The oracle for a monomial H^e is the top coefficient of
+``multiply_by_divisors`` along the divisor sequence of e; the volume
+polynomial must carry it times multinomial(dim, e).
+"""
+import itertools
+import random
+from math import factorial
+
+import pytest
+
+from flagquiver import (
+    BudgetExceeded,
+    IntPoly,
+    borel,
+    build_parabolic,
+    build_root_system,
+    intersection_number,
+    intersection_polynomial,
+    minimal_coset_reps,
+    multinomial,
+    multiply_by_divisors,
+    volume_polynomial,
+)
+from flagquiver import schubert
+
+from conftest import all_parabolics
+
+
+def compositions(total, parts):
+    """Every exponent tuple of ``parts`` entries summing to ``total``."""
+    for bars in itertools.combinations(range(total + parts - 1), parts - 1):
+        edges = (-1,) + bars + (total + parts - 1,)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def chain_number(p, exps):
+    """Top intersection number by iterated divisor multiplication."""
+    sequence = [i for i, e in zip(p.sigma, exps) for _ in range(e)]
+    cycle = multiply_by_divisors(p, sequence)
+    # a codimension-dim cycle lives on the unique longest coset rep
+    assert len(cycle.coefficients) <= 1
+    return sum(cycle.coefficients.values())
+
+
+def check_against_chains(p, monomials):
+    volume = volume_polynomial(p)
+    chains = {}
+    for exps in monomials:
+        chains[exps] = chain_number(p, exps)
+        assert volume.terms.get(exps, 0) == multinomial(p.dim, exps) * chains[exps]
+        assert intersection_number(p, exps) == chains[exps]
+    return chains
+
+
+def check_every_monomial(p):
+    k = len(p.sigma)
+    chains = check_against_chains(p, list(compositions(p.dim, k)))
+    assert volume_polynomial(p) == IntPoly(
+        k, {e: multinomial(p.dim, e) * v for e, v in chains.items()}
+    )
+    polys = intersection_polynomial(p, p.dim - 1)
+    for pos in range(k):
+        expected = {}
+        for exps in compositions(p.dim - 1, k):
+            raised = exps[:pos] + (exps[pos] + 1,) + exps[pos + 1:]
+            expected[exps] = multinomial(p.dim - 1, exps) * chains[raised]
+        assert polys[pos] == IntPoly(k, expected)
+
+
+def small_parabolics():
+    for rank in range(1, 5):
+        yield from all_parabolics(build_root_system("A", rank))
+    yield from all_parabolics(build_root_system("D", 4))
+    yield build_parabolic(build_root_system("A", 5), (1, 5))
+    yield build_parabolic(build_root_system("D", 5), (2, 4))
+    yield build_parabolic(build_root_system("E", 6), (1, 6))
+
+
+@pytest.mark.parametrize("p", list(small_parabolics()), ids=repr)
+def test_every_monomial_matches_the_schubert_chain(p):
+    check_every_monomial(p)
+
+
+@pytest.mark.parametrize("series,rank", [("A", 5), ("D", 5)])
+def test_sampled_borel_monomials_match_the_schubert_chain(series, rank):
+    p = borel(build_root_system(series, rank))
+    rng = random.Random(2009)
+    support = sorted(volume_polynomial(p).terms)
+    everything = list(compositions(p.dim, rank))
+    sample = set(rng.sample(support, 16)) | set(rng.sample(everything, 8))
+    chains = check_against_chains(p, sorted(sample))
+    assert len(chains) >= 20
+    assert any(v == 0 for v in chains.values())
+    assert any(v != 0 for v in chains.values())
+
+
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", r) for r in range(1, 7)] + [("D", 4), ("D", 5)],
+)
+def test_borel_volume_at_rho_is_dim_factorial(series, rank):
+    # at a = (1,...,1) the class is rho and every factor of the product is 1
+    p = borel(build_root_system(series, rank))
+    assert volume_polynomial(p).evaluate((1,) * rank) == factorial(p.dim)
+
+
+def test_caches_are_keyed_on_the_parabolic_not_the_budget():
+    p = borel(build_root_system("A", 3))
+    for budget in (10**6, 10**5):
+        minimal_coset_reps(p, 2, budget=budget)
+        volume_polynomial(p, budget=budget)
+    key = ("A", 3, (1, 2, 3))
+    assert [k for k in schubert._TABLE_CACHE if k[:3] == key] == [key]
+    assert [k for k in schubert._VOLUME_CACHE if k[:3] == key] == [key]
+    # a cached parabolic is still refused under a smaller budget
+    with pytest.raises(BudgetExceeded):
+        minimal_coset_reps(p, 2, budget=10)
+    with pytest.raises(BudgetExceeded):
+        volume_polynomial(p, budget=10)
+    with pytest.raises(BudgetExceeded):
+        intersection_number(p, (2, 2, 2), budget=10)
