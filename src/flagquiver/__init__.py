@@ -51,15 +51,11 @@ from .rootsys import (
 )
 from .schubert import (
     DEFAULT_BUDGET,
-    SchubertCycle,
     WeylElement,
-    chevalley_multiply,
     coset_count,
     intersection_number,
     intersection_polynomial,
     minimal_coset_reps,
-    multiply_by_divisors,
-    unit_cycle,
     volume_polynomial,
 )
 from .stability import (

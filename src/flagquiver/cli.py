@@ -1,7 +1,7 @@
 """Command-line front end with machine-readable output.
 
-Exit codes: 0 success, 2 invalid input, 3 simplicity regression,
-4 enumeration budget exceeded.
+Exit codes: 0 success, 2 invalid input or an unwritable --out file,
+3 simplicity regression, 4 enumeration budget exceeded.
 """
 from __future__ import annotations
 
@@ -56,7 +56,7 @@ def _parse_parabolic(text, system, allow_all=False):
         for size in range(1, system.rank + 1):
             out.extend(itertools.combinations(range(1, system.rank + 1), size))
         return out
-    return [tuple(int(tok) for tok in text.split(","))]
+    return [tuple(sorted(set(int(tok) for tok in text.split(","))))]
 
 
 def _emit(args, text):
@@ -138,22 +138,14 @@ def _tangent_quiver(args, p):
     if args.level == "levi":
         return trep.levi_rep
     if args.mode == quiver_mod.REDUCED:
-        keep = [
-            k
-            for k, a in enumerate(trep.rep.quiver.arrows)
-            if p.system.height(a.label) == 1
-        ]
-        q = trep.rep.quiver
-        reduced = quiver_mod.InducedQuiver(
-            q.vertices,
-            [q.arrows[k] for k in keep],
-            quiver_mod.REDUCED,
-            q.parabolic,
+        full = trep.rep.quiver
+        reduced = quiver_mod.induced_quiver(
+            full.parabolic, full.vertices, quiver_mod.REDUCED
         )
-        maps = {}
-        for new_k, old_k in enumerate(keep):
-            if old_k in trep.rep.maps:
-                maps[new_k] = trep.rep.maps[old_k]
+        maps = {
+            k: trep.rep.maps[full.arrow_index(a.src, a.label.coords2)]
+            for k, a in enumerate(reduced.arrows)
+        }
         return quiver_mod.QuiverRep(reduced, trep.rep.dims, maps)
     return trep.rep
 
@@ -239,22 +231,16 @@ def cmd_cone(args):
     (sigma,) = _parse_parabolic(args.parabolic, system)
     p = build_parabolic(system, sigma)
     inequalities = stability_cone(p, args.budget)
-    if args.grid:
+    if args.grid or args.section:
+        if args.grid:
+            points = itertools.product(range(1, args.grid + 1), repeat=len(sigma))
+        else:
+            # raster of the cross-section cut by the plane sum(a_i) = N; the
+            # inequalities are homogeneous, so fixed-sum integer points sample
+            # the projective picture exactly
+            points = _fixed_sum_tuples(args.section, len(sigma))
         lines = [",".join(f"a{i}" for i in sigma) + ",verdict"]
-        for h in itertools.product(range(1, args.grid + 1), repeat=len(sigma)):
-            lines.append(
-                ",".join(str(x) for x in h)
-                + ","
-                + cone_membership(inequalities, h)
-            )
-        _emit(args, "\n".join(lines) + "\n")
-        return EXIT_OK
-    if args.section:
-        # raster of the cross-section cut by the plane sum(a_i) = N; the
-        # inequalities are homogeneous, so fixed-sum integer points sample
-        # the projective picture exactly
-        lines = [",".join(f"a{i}" for i in sigma) + ",verdict"]
-        for h in _fixed_sum_tuples(args.section, len(sigma)):
+        for h in points:
             lines.append(
                 ",".join(str(x) for x in h)
                 + ","
@@ -384,7 +370,7 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (FlagQuiverError, ValueError) as exc:
+    except (FlagQuiverError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

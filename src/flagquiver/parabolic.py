@@ -36,7 +36,6 @@ class ParabolicData:
         self.levi_positive = tuple(levi_pos)
         self.nilradical_weights = tuple(nilrad)
         self.tangent_weights = tuple(-r for r in nilrad)
-        self.picard_rank = len(sigma)
 
     @property
     def dim(self):

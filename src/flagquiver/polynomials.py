@@ -19,25 +19,6 @@ class IntPoly:
                 cleaned[tuple(exps)] = int(coeff)
         self.terms = cleaned
 
-    @classmethod
-    def zero(cls, nvars):
-        return cls(nvars)
-
-    @classmethod
-    def monomial(cls, exps, coeff=1):
-        return cls(len(exps), {tuple(exps): coeff})
-
-    def __add__(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("mixed arities")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, 0) + c
-        return IntPoly(self.nvars, terms)
-
-    def scaled(self, k):
-        return IntPoly(self.nvars, {e: c * k for e, c in self.terms.items()})
-
     def __eq__(self, other):
         return (
             isinstance(other, IntPoly)

@@ -30,10 +30,6 @@ class InducedQuiver:
         for k, a in enumerate(self.arrows):
             self.out_by_label.setdefault(a.src, {})[a.label.coords2] = k
 
-    @property
-    def arrow_mode(self):
-        return self.mode
-
     def arrow_index(self, src, label_coords2):
         """Index of the arrow leaving ``src`` with the given label, if any."""
         return self.out_by_label.get(src, {}).get(label_coords2)

@@ -1,12 +1,14 @@
 """Exact intersection theory on G/P.
 
 Intersection numbers of the marked divisors come from the volume
-polynomial, which the Weyl dimension formula gives in closed form.  The
-cycle-level Schubert calculus (iterated divisor multiplication) stays
-available as an independent route.  Weyl group elements are keyed by the
-image of the Weyl vector, which is regular, so the key is faithful;
-minimal coset representatives are grown by length with a breadth-first
-search.
+polynomial, which the Weyl dimension formula gives in closed form, and
+|W/W_P| comes from the heights of the nilradical roots; neither
+enumerates the Weyl group.  Minimal coset representatives are still
+available: Weyl group elements are keyed by the image of the Weyl
+vector, which is regular, so the key is faithful, and the
+representatives are grown by length with a breadth-first search.  The
+cycle-level Schubert calculus built on them is the independent oracle
+of the test suite.
 """
 from __future__ import annotations
 
@@ -26,67 +28,27 @@ class WeylElement(NamedTuple):
     simple_images: tuple          # doubled coordinates of each w(alpha_i)
 
 
-class SchubertCycle(NamedTuple):
-    coefficients: dict            # canonical key -> integer
-    parabolic: object
-    codimension: int
-
-
-def _weyl_order(series, rank):
-    if series == "A":
-        return factorial(rank + 1)
-    if series == "D":
-        return 2 ** (rank - 1) * factorial(rank)
-    return {6: 51840, 7: 2903040, 8: 696729600}[rank]
-
-
-def _component_order(nodes, adj):
-    """|W| of the subsystem on a connected set of Dynkin nodes."""
-    k = len(nodes)
-    degrees = {v: len(adj[v] & nodes) for v in nodes}
-    branch = [v for v in nodes if degrees[v] == 3]
-    if not branch:
-        return factorial(k + 1)  # a path: type A_k
-    arms = []
-    for start in adj[branch[0]] & nodes:
-        length, prev, cur = 1, branch[0], start
-        while True:
-            nxt = (adj[cur] & nodes) - {prev}
-            if not nxt:
-                break
-            prev, cur = cur, next(iter(nxt))
-            length += 1
-        arms.append(length)
-    arms.sort()
-    if arms[0] == arms[1] == 1:
-        return 2 ** (k - 1) * factorial(k)  # type D_k
-    return {2: 51840, 3: 2903040, 4: 696729600}[arms[2]]  # E6/E7/E8
+def _exact_div(a, b):
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError(f"{a} is not divisible by {b}")
+    return q
 
 
 def coset_count(p):
-    """|W / W_P| from the Weyl group orders, without enumeration."""
-    system = p.system
-    total = _weyl_order(system.series, system.rank)
-    nodes = set(i - 1 for i in p.levi_simple_indices)
-    adj = {
-        i: {j for j in range(system.rank) if j != i and system.cartan_matrix[i][j] == -1}
-        for i in range(system.rank)
-    }
-    levi = 1
-    remaining = set(nodes)
-    while remaining:
-        start = min(remaining)
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for v in adj[u] & remaining:
-                if v not in comp:
-                    comp.add(v)
-                    stack.append(v)
-        remaining -= comp
-        levi *= _component_order(comp, adj)
-    return total // levi
+    """|W / W_P| without enumeration, from the heights of the roots.
+
+    |W| is the product of (ht alpha + 1) / ht alpha over the positive
+    roots, because the heights are dual to the exponents (Kostant 1959).
+    A Levi root has the same height in the Levi subsystem, so the Levi
+    factors cancel and the product runs over the nilradical roots.
+    """
+    num = den = 1
+    for alpha in p.nilradical_weights:
+        height = p.system.height(alpha)
+        num *= height + 1
+        den *= height
+    return _exact_div(num, den)
 
 
 def _check_budget(p, budget):
@@ -165,58 +127,6 @@ def minimal_coset_reps(p, up_to_length, budget=DEFAULT_BUDGET):
     return out
 
 
-def unit_cycle(p, budget=DEFAULT_BUDGET):
-    """The fundamental class: the identity coset with coefficient one."""
-    table = _coset_table(p, budget)
-    return SchubertCycle({p.system.rho.coords2: 1}, p, 0)
-
-
-def chevalley_multiply(cycle, i, budget=DEFAULT_BUDGET):
-    """Multiply a cycle by the divisor class attached to marked index i.
-
-    Implements the divisor product rule: each support element w picks up
-    the representatives w s_alpha one step longer, weighted by the
-    coefficient of alpha_i in alpha, over non-Levi positive roots alpha.
-    """
-    p = cycle.parabolic
-    if i not in p.sigma:
-        raise ValueError(f"index {i} is not a marked simple root")
-    system = p.system
-    table = _coset_table(p, budget)
-    nonlevi = [
-        (r.coords2, system.expansion(r), system.height(r))
-        for r in p.nilradical_weights
-    ]
-    out = {}
-    for key, coeff in cycle.coefficients.items():
-        w = table.elements[key]
-        for coords, exp, height in nonlevi:
-            mult = exp[i - 1]
-            if mult == 0:
-                continue
-            # w s_alpha (rho) = w(rho) - <rho, alpha^vee> w(alpha)
-            walpha = [0] * system.ambient_dim
-            for c, image in zip(exp, w.simple_images):
-                if c:
-                    for k, x in enumerate(image):
-                        walpha[k] += c * x
-            new_key = tuple(
-                a - height * b for a, b in zip(key, walpha)
-            )
-            target = table.elements.get(new_key)
-            if target is not None and target.length == w.length + 1:
-                out[new_key] = out.get(new_key, 0) + mult * coeff
-    return SchubertCycle({k: v for k, v in out.items() if v}, p, cycle.codimension + 1)
-
-
-def multiply_by_divisors(p, divisor_sequence, budget=DEFAULT_BUDGET):
-    """Iterated divisor product starting from the fundamental class."""
-    cycle = unit_cycle(p, budget)
-    for i in divisor_sequence:
-        cycle = chevalley_multiply(cycle, i, budget)
-    return cycle
-
-
 _VOLUME_CACHE = {}
 
 
@@ -235,8 +145,8 @@ def volume_polynomial(p, budget=DEFAULT_BUDGET):
     over the nilradical roots alpha, where [alpha:alpha_j] is the
     coefficient of alpha_j in alpha (simply laced, so alpha^vee has the
     same coefficients).  The linear forms are multiplied out exactly and
-    every division is checked.  ``budget`` caps |W/W_P| as for the
-    Schubert route, checked by formula before anything is expanded.
+    every division is checked.  ``budget`` caps |W/W_P| as for
+    ``minimal_coset_reps``, checked before anything is expanded.
     """
     _check_budget(p, budget)
     key = _cache_key(p)
@@ -276,13 +186,6 @@ def _expand_volume(p):
             exps.append(e)
         out[tuple(exps)] = value
     return IntPoly(k, out)
-
-
-def _exact_div(a, b):
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError(f"{a} is not divisible by {b}")
-    return q
 
 
 def intersection_number(p, exponents, budget=DEFAULT_BUDGET):

@@ -3,7 +3,14 @@ import time
 
 import pytest
 
-from flagquiver import cli
+from flagquiver import (
+    REDUCED,
+    borel,
+    build_root_system,
+    chevalley_constant,
+    cli,
+    induced_quiver,
+)
 
 
 def run_cli(capsys, argv):
@@ -218,3 +225,63 @@ def test_invalid_polarization_arity(capsys):
          "--polarization", "1,2,3"],
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("target", ["missing/dir/roots.json", "."])
+def test_unwritable_out_is_invalid_input(tmp_path, capsys, target):
+    code, out, err = run_cli(
+        capsys,
+        ["roots", "--series", "A", "--rank", "2", "--out", str(tmp_path / target)],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,series,rank,first,second,extra",
+    [
+        ("cone", "A", "4", "4,1", "1,4", ["--grid", "3"]),
+        ("intersections", "A", "3", "3,2", "2,3", []),
+        ("simplicity", "A", "3", "1,1", "1", []),
+    ],
+)
+def test_parabolic_index_order_does_not_change_output(
+    capsys, command, series, rank, first, second, extra
+):
+    outputs = []
+    for parabolic in (first, second):
+        code, out, _ = run_cli(
+            capsys,
+            [command, "--series", series, "--rank", rank, "--parabolic", parabolic]
+            + extra,
+        )
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("D", 4)])
+def test_reduced_quiver_json_is_the_reduced_induced_quiver(capsys, series, rank):
+    code, out, _ = run_cli(
+        capsys,
+        ["quiver", "--series", series, "--rank", str(rank), "--parabolic", "borel",
+         "--mode", "reduced", "--output", "json"],
+    )
+    assert code == 0
+    b = borel(build_root_system(series, rank))
+    q = induced_quiver(b, b.tangent_weights, REDUCED)
+    data = json.loads(out)
+    assert [v["weight2"] for v in data["vertices"]] == [
+        list(w.coords2) for w in q.vertices
+    ]
+    assert data["arrows"] == [
+        {
+            "src": a.src,
+            "dst": a.dst,
+            "label2": list(a.label.coords2),
+            "scalar": chevalley_constant(a.label, q.vertices[a.src]),
+        }
+        for a in q.arrows
+    ]

@@ -8,16 +8,16 @@ from flagquiver import (
     borel,
     build_parabolic,
     build_root_system,
-    chevalley_multiply,
     coset_count,
     intersection_number,
     intersection_polynomial,
     minimal_coset_reps,
     multinomial,
-    multiply_by_divisors,
-    unit_cycle,
 )
 from flagquiver.rootsys import _dot2
+
+from conftest import all_parabolics
+from schubert_oracle import chevalley_multiply, multiply_by_divisors, unit_cycle
 
 
 def reflect_in(system, root, coords):
@@ -46,6 +46,23 @@ def test_point_hyperplane_cell_count(n):
 def test_borel_a2_weyl_group():
     p = borel(build_root_system("A", 2))
     assert len(minimal_coset_reps(p, p.dim)) == 6
+
+
+def test_coset_count_from_heights_matches_enumeration():
+    systems = [("A", r) for r in range(1, 6)] + [("D", 4), ("D", 5), ("E", 6)]
+    checked = 0
+    for series, rank in systems:
+        for p in all_parabolics(build_root_system(series, rank)):
+            count = coset_count(p)
+            if count <= 2000:
+                assert count == len(minimal_coset_reps(p, p.dim)), p
+                checked += 1
+    assert checked == 119
+
+
+@pytest.mark.parametrize("rank,order", [(7, 2903040), (8, 696729600)])
+def test_coset_count_of_e7_e8_borel_is_the_weyl_group_order(rank, order):
+    assert coset_count(borel(build_root_system("E", rank))) == order
 
 
 def test_minimal_reps_length_bound_and_validation():

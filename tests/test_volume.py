@@ -20,12 +20,12 @@ from flagquiver import (
     intersection_polynomial,
     minimal_coset_reps,
     multinomial,
-    multiply_by_divisors,
     volume_polynomial,
 )
 from flagquiver import schubert
 
 from conftest import all_parabolics
+from schubert_oracle import multiply_by_divisors
 
 
 def compositions(total, parts):
