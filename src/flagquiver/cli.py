@@ -6,8 +6,10 @@ Exit codes: 0 success, 2 invalid input or an unwritable --out file,
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
+import os
 import sys
 
 from . import quiver as quiver_mod
@@ -57,6 +59,14 @@ def _parse_parabolic(text, system, allow_all=False):
             out.extend(itertools.combinations(range(1, system.rank + 1), size))
         return out
     return [tuple(sorted(set(int(tok) for tok in text.split(","))))]
+
+
+def _check_out(path):
+    """Refuse an --out path that open() would refuse, before any work."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def _emit(args, text):
@@ -216,16 +226,6 @@ def _inequality_json(ineq):
     }
 
 
-def _fixed_sum_tuples(total, parts):
-    if parts == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _fixed_sum_tuples(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def cmd_cone(args):
     system = build_root_system(args.series, args.rank)
     (sigma,) = _parse_parabolic(args.parabolic, system)
@@ -237,8 +237,14 @@ def cmd_cone(args):
         else:
             # raster of the cross-section cut by the plane sum(a_i) = N; the
             # inequalities are homogeneous, so fixed-sum integer points sample
-            # the projective picture exactly
-            points = _fixed_sum_tuples(args.section, len(sigma))
+            # the projective picture exactly.  Cut points 0 < c_1 < ... < N
+            # give the parts c_{j+1} - c_j >= 1, in lexicographic order.
+            n = args.section
+            points = (
+                tuple(b - a for a, b in zip((0,) + c, c + (n,)))
+                for c in itertools.combinations(range(1, n), len(sigma) - 1)
+                if n > 0
+            )
         lines = [",".join(f"a{i}" for i in sigma) + ",verdict"]
         for h in points:
             lines.append(
@@ -366,6 +372,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
+        if args.out:
+            _check_out(args.out)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

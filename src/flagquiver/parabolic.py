@@ -112,37 +112,20 @@ def _levi_weyl_dimension(p, highest):
 def levi_components(p):
     """Partition of the tangent weights into Levi-irreducible components.
 
-    Weights are grouped by connectivity under addition of Levi roots; each
-    group is then verified to have a unique Levi-maximal weight whose Levi
-    Weyl dimension matches the group size.  Fails loudly otherwise.
+    Weights are grouped by their coefficients on the marked simple roots,
+    in order of first occurrence: each graded piece of the nilradical is
+    Levi-irreducible (Azad-Barry-Seitz, *On the structure of parabolic
+    subgroups*, 1990).  Each group is then verified to have a unique
+    Levi-maximal weight whose Levi Weyl dimension matches the group size.
+    Fails loudly otherwise.
     """
-    weights = p.tangent_weights
-    index = {w: i for i, w in enumerate(weights)}
-    parent = list(range(len(weights)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, w in enumerate(weights):
-        for g in p.levi_positive:
-            for v in (w + g, w - g):
-                j = index.get(v)
-                if j is not None:
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[rj] = ri
-
     groups = {}
-    for i in range(len(weights)):
-        groups.setdefault(find(i), []).append(i)
+    for root, w in zip(p.nilradical_weights, p.tangent_weights):
+        exp = p.system.expansion(root)
+        groups.setdefault(tuple(exp[i - 1] for i in p.sigma), []).append(w)
 
     components = []
-    for root_idx in sorted(groups, key=lambda r: min(groups[r])):
-        member_idx = sorted(groups[root_idx])
-        members = [weights[i] for i in member_idx]
+    for members in groups.values():
         member_set = set(members)
         maximal = [
             w

@@ -112,6 +112,37 @@ class RelationInstance(NamedTuple):
     bracket_arrow: int | None
 
 
+def _relations(q, sources):
+    """Relations at the given sources with at least one term in the quiver.
+
+    Each nilradical pair is tried once per source, with its sum and
+    Chevalley constant precomputed; a pair none of whose labels leaves the
+    source has no term and is skipped before any path is followed.
+    """
+    nil = q.parabolic.nilradical_weights
+    pairs = []
+    for ia, alpha in enumerate(nil):
+        for beta in nil[ia + 1:]:
+            s = alpha + beta
+            n = chevalley_constant(alpha, beta) if s.is_root else 0
+            pairs.append((alpha, beta, s.coords2, n))
+
+    def path(k1, second):
+        k2 = None if k1 is None else q.arrow_index(q.arrows[k1].dst, second.coords2)
+        return None if k2 is None else (k1, k2)
+
+    for src in sources:
+        out = q.out_by_label.get(src, {})
+        for alpha, beta, sum_coords, n in pairs:
+            ka, kb = out.get(alpha.coords2), out.get(beta.coords2)
+            bracket = out.get(sum_coords) if n else None
+            if ka is None and kb is None and bracket is None:
+                continue
+            path_a, path_b = path(ka, beta), path(kb, alpha)
+            if path_a or path_b or bracket is not None:
+                yield RelationInstance(src, alpha, beta, n, path_a, path_b, bracket)
+
+
 def relation_instances(q):
     """All relations with at least one realizable term inside the quiver.
 
@@ -119,56 +150,15 @@ def relation_instances(q):
     every term is clipped are omitted as vacuous.  Only supported in the
     Borel case, where the relations take the explicit commutator form.
     """
-    p = q.parabolic
-    if not p.is_borel:
+    if not q.parabolic.is_borel:
         raise UnsupportedParabolic("relations are only generated for the Borel case")
-    nil = p.nilradical_weights
-    out = []
-    for src in range(len(q.vertices)):
-        w = q.vertices[src]
-        for ia in range(len(nil)):
-            for ib in range(ia + 1, len(nil)):
-                alpha, beta = nil[ia], nil[ib]
-                path_a = path_b = None
-                k1 = q.arrow_index(src, alpha.coords2)
-                if k1 is not None:
-                    k2 = q.arrow_index(q.arrows[k1].dst, beta.coords2)
-                    if k2 is not None:
-                        path_a = (k1, k2)
-                k1 = q.arrow_index(src, beta.coords2)
-                if k1 is not None:
-                    k2 = q.arrow_index(q.arrows[k1].dst, alpha.coords2)
-                    if k2 is not None:
-                        path_b = (k1, k2)
-                n = 0
-                bracket = None
-                if (alpha + beta).is_root:
-                    n = chevalley_constant(alpha, beta)
-                    bracket = q.arrow_index(src, (alpha + beta).coords2)
-                if path_a or path_b or (n and bracket is not None):
-                    out.append(
-                        RelationInstance(
-                            src, alpha, beta, n, path_a, path_b,
-                            bracket if n else None,
-                        )
-                    )
-    return out
+    return list(_relations(q, range(len(q.vertices))))
 
 
 def _mat_mul(a, b):
     return tuple(
         tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
         for ra in a
-    )
-
-
-def _zero(rows, cols):
-    return tuple((0,) * cols for _ in range(rows))
-
-
-def _mat_addsub(a, b, sign):
-    return tuple(
-        tuple(x + sign * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b)
     )
 
 
@@ -187,59 +177,30 @@ def verify_flatness(rep):
     q = rep.quiver
     if q.mode != FULL:
         raise ModeMismatch("flatness requires a FULL-mode quiver")
-    nil = q.parabolic.nilradical_weights
-    sums = {}
-    for ia in range(len(nil)):
-        for ib in range(ia + 1, len(nil)):
-            s = nil[ia] + nil[ib]
-            n = chevalley_constant(nil[ia], nil[ib]) if s.is_root else 0
-            sums[(ia, ib)] = (s.coords2 if s.is_root else None, n)
 
-    def term(src, first, second):
-        # second(first(.)) with zero for any missing arrow or map
-        k1 = q.arrow_index(src, first.coords2)
-        if k1 is None:
+    def composite(path):
+        # second(first(.)), or None (zero) for a missing arrow or map
+        if path is None or path[0] not in rep.maps or path[1] not in rep.maps:
             return None
-        mid = q.arrows[k1].dst
-        k2 = q.arrow_index(mid, second.coords2)
-        if k2 is None:
-            return None
-        m1 = rep.maps.get(k1)
-        m2 = rep.maps.get(k2)
-        if m1 is None or m2 is None:
-            return None
-        return _mat_mul(m2, m1)
+        return _mat_mul(rep.maps[path[1]], rep.maps[path[0]])
 
-    for src in rep.support:
-        labels_out = set(q.out_by_label.get(src, ()))
-        for (ia, ib), (sum_coords, n) in sums.items():
-            alpha, beta = nil[ia], nil[ib]
-            if (
-                alpha.coords2 not in labels_out
-                and beta.coords2 not in labels_out
-                and (not n or sum_coords not in labels_out)
-            ):
-                continue
-            t1 = term(src, beta, alpha)   # alpha after beta
-            t2 = term(src, alpha, beta)   # beta after alpha
-            t3 = None
-            if n:
-                k = q.arrow_index(src, sum_coords)
-                if k is not None and k in rep.maps:
-                    t3 = tuple(tuple(n * x for x in row) for row in rep.maps[k])
-            terms = [t for t in (t1, t2, t3) if t is not None]
-            if not terms:
-                continue
-            rows, cols = len(terms[0]), len(terms[0][0])
-            acc = _zero(rows, cols)
-            if t1 is not None:
-                acc = _mat_addsub(acc, t1, 1)
-            if t2 is not None:
-                acc = _mat_addsub(acc, t2, -1)
-            if t3 is not None:
-                acc = _mat_addsub(acc, t3, -1)
-            if any(any(x for x in row) for row in acc):
-                return FlatnessResult(False, (q.vertices[src], alpha, beta))
+    for r in _relations(q, rep.support):
+        # alpha after beta, minus beta after alpha, minus n times the bracket
+        terms = [
+            (c, m)
+            for c, m in (
+                (1, composite(r.path_via_beta)),
+                (-1, composite(r.path_via_alpha)),
+                (-r.chevalley, rep.maps.get(r.bracket_arrow)),
+            )
+            if m is not None
+        ]
+        if terms and any(
+            sum(c * m[i][j] for c, m in terms)
+            for i, row in enumerate(terms[0][1])
+            for j in range(len(row))
+        ):
+            return FlatnessResult(False, (q.vertices[r.source], r.alpha, r.beta))
     return FlatnessResult(True, None)
 
 

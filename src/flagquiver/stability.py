@@ -62,6 +62,22 @@ def c1_picard(weights, p):
     return tuple(-coroot_pairing(total, p.system.simple_root(i)) for i in p.sigma)
 
 
+def _slope_gaps(p, comps):
+    """rank(c) * c1(T) - dim * c1(c) for each component c.
+
+    c1 is additive, so the gap of a subbundle is the sum of its components'
+    gaps; its degree at H is rk * deg(T) - dim * deg(S).
+    """
+    c1_total = c1_picard(p.tangent_weights, p)
+    return [
+        tuple(
+            c.rank * t - p.dim * s
+            for t, s in zip(c1_total, c1_picard(c.weights, p))
+        )
+        for c in comps
+    ]
+
+
 def stability_cone(p, budget=DEFAULT_BUDGET):
     """One positivity constraint per reduced invariant subbundle.
 
@@ -70,24 +86,19 @@ def stability_cone(p, budget=DEFAULT_BUDGET):
     content divided out), which preserves signs on the ample cone.
 
     For a subbundle S of rank rk, the constraint is
-    rk * deg(T) - dim * deg(S) = sum_i d_i H_i . H^(dim-1) with
-    d = rk * c1(T) - dim * c1(S): the derivative of the volume polynomial
-    along d, over dim, built in one pass over the partial derivatives.
+    rk * deg(T) - dim * deg(S) = sum_i d_i H_i . H^(dim-1) with d the
+    slope gap of S: the derivative of the volume polynomial along d, over
+    dim, built in one pass over the partial derivatives.
     """
     qpolys = intersection_polynomial(p, p.dim - 1, budget)
     trep = tangent_rep(p)
-    comps = trep.components
-    c1_total = c1_picard(p.tangent_weights, p)
-    rk_total = p.dim
+    gaps = _slope_gaps(p, trep.components)
     k = len(p.sigma)
     inequalities = []
     for subset in closed_subsets(trep.levi_rep, reduce=True):
-        rk = sum(comps[ci].rank for ci in subset)
-        sub_weights = [w for ci in subset for w in comps[ci].weights]
-        c1 = c1_picard(sub_weights, p)
         terms = {}
         for pos in range(k):
-            d = rk * c1_total[pos] - rk_total * c1[pos]
+            d = sum(gaps[ci][pos] for ci in subset)
             if d:
                 for exps, coeff in qpolys[pos].terms.items():
                     terms[exps] = terms.get(exps, 0) + d * coeff
@@ -287,23 +298,14 @@ def sigma_from_polarization(rep, p, polarization, budget=DEFAULT_BUDGET):
     if any(x <= 0 for x in h):
         raise NotAmple(f"polarization {h} has a non-positive entry")
     comps = levi_components(p)
-    by_top = {c.highest_weight: c for c in comps}
-    ordered = []
-    for w in rep.quiver.vertices:
-        comp = by_top.get(w)
-        if comp is None:
-            raise ValueError("rep vertices do not match the Levi components")
-        ordered.append(comp)
+    by_top = {c.highest_weight: ci for ci, c in enumerate(comps)}
+    order = [by_top.get(w) for w in rep.quiver.vertices]
+    if None in order:
+        raise ValueError("rep vertices do not match the Levi components")
     qpolys = intersection_polynomial(p, p.dim - 1, budget)
     qvals = [qpolys[pos].evaluate(h) for pos in range(len(p.sigma))]
-    rk_total = p.dim
-    c1_total = c1_picard(p.tangent_weights, p)
-    deg_total = sum(c * v for c, v in zip(c1_total, qvals))
-    values = []
-    for comp in ordered:
-        c1 = c1_picard(comp.weights, p)
-        deg = sum(c * v for c, v in zip(c1, qvals))
-        values.append(rk_total * deg - deg_total * comp.rank)
+    gaps = _slope_gaps(p, comps)
+    values = [-sum(g * v for g, v in zip(gaps[ci], qvals)) for ci in order]
     if sum(v * d for v, d in zip(values, rep.dims)) != 0:
         raise RuntimeError("character does not annihilate the dimension vector")
     return SigmaCharacter(tuple(values), h)

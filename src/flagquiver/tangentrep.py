@@ -72,23 +72,13 @@ def tangent_rep(p):
 
 def structure_report(rep):
     """(multiplicity free, number of connected components) of the support."""
-    support = rep.support
-    multiplicity_free = all(rep.dims[i] == 1 for i in support)
-    index = {v: i for i, v in enumerate(support)}
-    parent = list(range(len(support)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for k, a in enumerate(rep.quiver.arrows):
-        if a.src in index and a.dst in index and rep.map_is_nonzero(k):
-            ri, rj = find(index[a.src]), find(index[a.dst])
-            if ri != rj:
-                parent[rj] = ri
-    components = len({find(i) for i in range(len(support))})
+    multiplicity_free = all(rep.dims[i] == 1 for i in rep.support)
+    nbrs = _neighbours(_nonzero_successors(rep))
+    rest = set(nbrs)
+    components = 0
+    while rest:
+        rest -= _part(min(rest), rest, nbrs)
+        components += 1
     return multiplicity_free, components
 
 
@@ -160,6 +150,26 @@ def _nonzero_successors(rep):
     return succ
 
 
+def _neighbours(succ):
+    """Undirected adjacency of a successor map."""
+    nbrs = {v: set(ws) for v, ws in succ.items()}
+    for v, ws in succ.items():
+        for w in ws:
+            nbrs[w].add(v)
+    return nbrs
+
+
+def _part(start, inside, adj):
+    """Vertices of ``inside`` reachable from ``start`` along ``adj``."""
+    seen, frontier = {start}, {start}
+    while frontier:
+        frontier = set().union(*(adj[u] for u in frontier))
+        frontier &= inside
+        frontier -= seen
+        seen |= frontier
+    return seen
+
+
 def closed_subsets(rep, reduce=False):
     """Proper nonempty vertex subsets closed under following nonzero arrows.
 
@@ -180,15 +190,7 @@ def closed_subsets(rep, reduce=False):
     def closure(v, inside):
         key = (v, inside)
         if key not in reach_cache:
-            seen = {v}
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in succ[u]:
-                    if w in inside and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            reach_cache[key] = frozenset(seen)
+            reach_cache[key] = frozenset(_part(v, inside, succ))
         return reach_cache[key]
 
     memo = {}
@@ -210,28 +212,9 @@ def closed_subsets(rep, reduce=False):
 
     sets = [s for s in downsets(full) if s and s != full]
     if reduce:
-        sets = [s for s in sets if _is_connected(s, succ)]
+        nbrs = _neighbours(succ)
+        sets = [s for s in sets if _part(min(s), s, nbrs) == s]
     return sorted((tuple(sorted(s)) for s in sets), key=lambda t: (len(t), t))
-
-
-def _is_connected(subset, succ):
-    verts = set(subset)
-    undirected = {v: set() for v in verts}
-    for v in verts:
-        for w in succ[v]:
-            if w in verts:
-                undirected[v].add(w)
-                undirected[w].add(v)
-    start = next(iter(verts))
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in undirected[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(verts)
 
 
 def dominant_sum_check(p):

@@ -239,6 +239,24 @@ def test_unwritable_out_is_invalid_input(tmp_path, capsys, target):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("target", ["missing/dir/cone.json", "."])
+def test_unwritable_out_is_refused_before_the_computation(
+    tmp_path, capsys, monkeypatch, target
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cone was computed")
+
+    monkeypatch.setattr(cli, "stability_cone", refuse)
+    code, out, err = run_cli(
+        capsys,
+        ["cone", "--series", "A", "--rank", "3", "--parabolic", "borel",
+         "--out", str(tmp_path / target)],
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize(
     "command,series,rank,first,second,extra",
     [

@@ -123,3 +123,38 @@ def test_generator_weights_degree_one():
     assert set(p2.generator_weights) == set(p2.nilradical_weights)
     b = borel(a3)
     assert set(b.generator_weights) == set(a3.simple_roots)
+
+
+def _levi_connected_parts(p):
+    """Tangent weights joined by adding or subtracting Levi roots (union-find)."""
+    weights = p.tangent_weights
+    index = {w: i for i, w in enumerate(weights)}
+    parent = list(range(len(weights)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, w in enumerate(weights):
+        for g in p.levi_positive:
+            for v in (w + g, w - g):
+                if v in index:
+                    parent[find(index[v])] = find(i)
+    parts = {}
+    for i, w in enumerate(weights):
+        parts.setdefault(find(i), []).append(w)
+    return sorted(parts.values(), key=lambda ws: index[ws[0]])
+
+
+@pytest.mark.parametrize(
+    "series,ranks", [("A", range(1, 7)), ("D", (4, 5, 6)), ("E", (6,))]
+)
+def test_components_are_the_levi_connected_parts(series, ranks):
+    # the marked-degree grouping equals connectivity under the Levi roots,
+    # order included
+    for rank in ranks:
+        for p in all_parabolics(build_root_system(series, rank)):
+            comps = levi_components(p)
+            assert [list(c.weights) for c in comps] == _levi_connected_parts(p)

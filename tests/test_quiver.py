@@ -6,10 +6,12 @@ from flagquiver import (
     ModeMismatch,
     NotLeviDominant,
     QuiverRep,
+    RelationInstance,
     UnsupportedParabolic,
     borel,
     build_parabolic,
     build_root_system,
+    chevalley_constant,
     induced_quiver,
     relation_instances,
     tangent_rep,
@@ -125,12 +127,29 @@ def test_relation_truncated_to_nothing_in_a2():
     assert relation_instances(q) == []
 
 
-def test_relation_count_matches_brute_force_a3():
-    a3 = build_root_system("A", 3)
-    b = borel(a3)
+def test_relation_with_only_a_bracket_term():
+    # on the vertices {-theta, 0} of A2 no simple root leaves -theta, so
+    # the relation of the two simple roots is n * bracket alone
+    a2 = build_root_system("A", 2)
+    b = borel(a2)
+    alpha, beta, theta = b.nilradical_weights
+    q = induced_quiver(b, [-theta, theta - theta], FULL)
+    n = chevalley_constant(alpha, beta)
+    assert relation_instances(q) == [
+        RelationInstance(0, alpha, beta, n, None, None, 0)
+    ]
+    assert verify_flatness(QuiverRep(q, (1, 1), {0: ((0,),)})).ok
+    result = verify_flatness(QuiverRep(q, (1, 1), {0: ((1,),)}))
+    assert result == (False, (-theta, alpha, beta))
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("A", 4), ("D", 4)])
+def test_relation_count_matches_brute_force(series, rank):
+    system = build_root_system(series, rank)
+    b = borel(system)
     q = induced_quiver(b, b.tangent_weights, FULL)
     vset = set(b.tangent_weights)
-    pos = list(a3.positive_roots)
+    pos = list(system.positive_roots)
     count = 0
     for w in b.tangent_weights:
         for i in range(len(pos)):
@@ -152,6 +171,17 @@ def test_flatness_zero_rep_and_tangent_reps():
     zero_rep = QuiverRep(q, (1,) * 3, {})
     assert verify_flatness(zero_rep).ok
     assert verify_flatness(tangent_rep(b).rep).ok
+
+
+@pytest.mark.parametrize("series,rank,sigma", [("A", 3, (1, 3)), ("D", 4, (2,))])
+def test_flatness_of_non_borel_levi_reps(series, rank, sigma):
+    # the Levi-level rep lives on a FULL-mode quiver of a non-Borel
+    # parabolic: relation_instances refuses it, verify_flatness accepts it
+    # (no relation has a two-step path or a bracket arrow here)
+    p = build_parabolic(build_root_system(series, rank), sigma)
+    levi_rep = tangent_rep(p).levi_rep
+    assert levi_rep.quiver.arrows
+    assert verify_flatness(levi_rep).ok
 
 
 def test_flatness_detects_a_flipped_sign():

@@ -1,3 +1,4 @@
+import random
 from math import isqrt
 
 import pytest
@@ -151,11 +152,24 @@ def test_surd_ordering_and_normalization():
 
 def test_sigma_character_identity_with_cone_polynomials():
     # the character value of a subbundle is the negated inequality value up
-    # to the positive factor dropped by normalization
-    for series, rank, sigma, grid in [
+    # to the positive factor dropped by normalization: both read one slope
+    # gap per component, and a subbundle's gap is the sum of its components'
+    cases = [
         ("A", 2, (1, 2), [(1, 1), (1, 10), (3, 2)]),
         ("A", 3, (1, 3), [(1, 1), (2, 5), (7, 1)]),
+    ]
+    rng = random.Random(4)
+    for series, rank, sigma in [
+        ("A", 3, (1, 2, 3)),
+        ("A", 4, (1, 2, 3, 4)),
+        ("A", 4, (1, 4)),
+        ("D", 4, (1, 2, 3, 4)),
+        ("D", 5, (2, 4)),
+        ("E", 6, (1, 6)),
     ]:
+        grid = [tuple(rng.randint(1, 9) for _ in sigma) for _ in range(10)]
+        cases.append((series, rank, sigma, grid))
+    for series, rank, sigma, grid in cases:
         p = build_parabolic(build_root_system(series, rank), sigma)
         trep = tangent_rep(p)
         cone = stability_cone(p)
