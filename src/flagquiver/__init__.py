@@ -64,6 +64,7 @@ from .stability import (
     UNSTABLE,
     Boundary2D,
     ConeInequality,
+    DegreeCone,
     EquivalenceReport,
     KingVerdict,
     SigmaCharacter,
@@ -71,6 +72,8 @@ from .stability import (
     boundary_2d,
     c1_picard,
     cone_membership,
+    degree_cone,
+    degree_membership,
     equivalence_check,
     is_sigma_semistable,
     sigma_from_polarization,

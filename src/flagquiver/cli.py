@@ -18,9 +18,9 @@ from .parabolic import build_parabolic
 from .rootsys import build_root_system
 from .schubert import DEFAULT_BUDGET, intersection_number, volume_polynomial
 from .stability import (
-    STABLE,
     boundary_2d,
-    cone_membership,
+    degree_cone,
+    degree_membership,
     is_sigma_semistable,
     sigma_from_polarization,
     stability_cone,
@@ -227,11 +227,15 @@ def _inequality_json(ineq):
 
 
 def cmd_cone(args):
+    if min(args.grid, args.section) < 0:
+        raise ValueError("--grid and --section need N >= 1 (0 is off)")
+    if args.grid and args.section:
+        raise ValueError("give --grid or --section, not both")
     system = build_root_system(args.series, args.rank)
     (sigma,) = _parse_parabolic(args.parabolic, system)
     p = build_parabolic(system, sigma)
-    inequalities = stability_cone(p, args.budget)
     if args.grid or args.section:
+        cone = degree_cone(p, args.budget)
         if args.grid:
             points = itertools.product(range(1, args.grid + 1), repeat=len(sigma))
         else:
@@ -243,17 +247,17 @@ def cmd_cone(args):
             points = (
                 tuple(b - a for a, b in zip((0,) + c, c + (n,)))
                 for c in itertools.combinations(range(1, n), len(sigma) - 1)
-                if n > 0
             )
         lines = [",".join(f"a{i}" for i in sigma) + ",verdict"]
         for h in points:
             lines.append(
                 ",".join(str(x) for x in h)
                 + ","
-                + cone_membership(inequalities, h)
+                + degree_membership(cone, h)
             )
         _emit(args, "\n".join(lines) + "\n")
         return EXIT_OK
+    inequalities = stability_cone(p, args.budget)
     data = {"inequalities": [_inequality_json(iq) for iq in inequalities]}
     if args.boundary:
         bounds = boundary_2d(inequalities)
@@ -292,7 +296,7 @@ def cmd_king(args):
         "semistable": verdict.semistable,
         "stable": verdict.stable,
         "witness": list(verdict.witness) if verdict.witness is not None else None,
-        "cone_verdict": cone_membership(stability_cone(p, args.budget), h),
+        "cone_verdict": degree_membership(degree_cone(p, args.budget), h),
     }
     if args.output == "text":
         state = (

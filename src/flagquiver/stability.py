@@ -1,13 +1,15 @@
 """Slope stability cones, closed-form boundaries, and character stability.
 
 Everything is exact: cone inequalities are integer polynomials in the
-polarization coefficients, boundary slopes are quadratic surds, and the
-character-based verdicts use the same integer data.
+polarization coefficients, pointwise verdicts are integer sums over the
+Levi components' degree forms, boundary slopes are quadratic surds, and
+the character-based verdicts use the same integer data.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -19,7 +21,7 @@ from .errors import (
 from .parabolic import levi_components
 from .polynomials import IntPoly
 from .rootsys import coroot_pairing
-from .schubert import DEFAULT_BUDGET, intersection_polynomial
+from .schubert import DEFAULT_BUDGET, _check_budget, intersection_polynomial
 from .tangentrep import closed_subsets, tangent_rep
 
 STABLE = "STABLE"
@@ -33,6 +35,19 @@ class ConeInequality(NamedTuple):
     subbundle: tuple      # component indices of the Levi-level rep
     polynomial: IntPoly
     strict: bool
+
+
+class DegreeCone(NamedTuple):
+    """The cone inequalities as integer rows over the Levi components.
+
+    ``forms[c]`` is the marked degree of component c, so its degree form
+    at an ample h is L_c(h) = <forms[c], h> > 0.  ``rows`` holds one row
+    per reduced closed subset S, in ``stability_cone`` order, with entry
+    rank(c) * <gap(S), forms[c]> for each component c.
+    """
+
+    forms: tuple
+    rows: tuple
 
 
 class SigmaCharacter(NamedTuple):
@@ -108,14 +123,70 @@ def stability_cone(p, budget=DEFAULT_BUDGET):
     return inequalities
 
 
-def cone_membership(inequalities, polarization):
-    """STABLE / UNSTABLE / boundary verdict for an ample integer tuple."""
+def _ample(polarization):
     h = tuple(int(x) for x in polarization)
     if any(x <= 0 for x in h):
         raise NotAmple(f"polarization {h} has a non-positive entry")
+    return h
+
+
+def cone_membership(inequalities, polarization):
+    """STABLE / UNSTABLE / boundary verdict for an ample integer tuple."""
+    h = _ample(polarization)
     on_boundary = False
     for ineq in inequalities:
         value = ineq.polynomial.evaluate(h)
+        if value < 0:
+            return UNSTABLE
+        if value == 0:
+            on_boundary = True
+    return BOUNDARY if on_boundary else STABLE
+
+
+def degree_cone(p, budget=DEFAULT_BUDGET):
+    """The inequalities of ``stability_cone`` as rows over degree forms.
+
+    The volume polynomial is C * prod_alpha L_alpha(h) over the
+    nilradical roots (Borel-Hirzebruch), and L_alpha depends only on the
+    marked degree of alpha, that is on its Levi component c.  So
+    P = C * prod_c L_c^rank(c), and the inequality of S with slope gap
+    d(S) is (P / dim) * sum_c rank(c) <d(S), deg(c)> / L_c(h).  Times
+    the positive D(h) = prod_c L_c(h), its sign is that of the row sum
+    in ``degree_membership``; ``stability_cone`` divides each polynomial
+    by a positive monomial and content, so the verdicts agree.  Nothing
+    is expanded, but ``budget`` is checked as for ``stability_cone``.
+    """
+    _check_budget(p, budget)
+    trep = tangent_rep(p)
+    gaps = _slope_gaps(p, trep.components)
+    forms = []
+    for c in trep.components:
+        exp = p.system.expansion(-c.highest_weight)
+        forms.append(tuple(exp[i - 1] for i in p.sigma))
+    rows = []
+    for subset in closed_subsets(trep.levi_rep, reduce=True):
+        d = [sum(gaps[ci][pos] for ci in subset) for pos in range(len(p.sigma))]
+        rows.append(tuple(
+            c.rank * sum(x * f for x, f in zip(d, form))
+            for c, form in zip(trep.components, forms)
+        ))
+    return DegreeCone(tuple(forms), tuple(rows))
+
+
+def degree_membership(cone, polarization):
+    """``cone_membership`` of an ample integer tuple, read off a ``degree_cone``.
+
+    Row sums weight component c by D(h) / L_c(h), an exact integer.
+    """
+    h = _ample(polarization)
+    if len(h) != len(cone.forms[0]):
+        raise ValueError("point has the wrong arity")
+    degrees = [sum(map(mul, form, h)) for form in cone.forms]
+    total = prod(degrees)
+    weights = [total // deg for deg in degrees]
+    on_boundary = False
+    for row in cone.rows:
+        value = sum(map(mul, row, weights))
         if value < 0:
             return UNSTABLE
         if value == 0:
@@ -294,9 +365,7 @@ def boundary_2d(inequalities):
 
 def sigma_from_polarization(rep, p, polarization, budget=DEFAULT_BUDGET):
     """Integer character induced by an ample class on the Levi-level rep."""
-    h = tuple(int(x) for x in polarization)
-    if any(x <= 0 for x in h):
-        raise NotAmple(f"polarization {h} has a non-positive entry")
+    h = _ample(polarization)
     comps = levi_components(p)
     by_top = {c.highest_weight: ci for ci, c in enumerate(comps)}
     order = [by_top.get(w) for w in rep.quiver.vertices]

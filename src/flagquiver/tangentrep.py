@@ -19,7 +19,11 @@ class TangentRep(NamedTuple):
 
     ``rep`` lives on the Borel quiver with one vertex per tangent weight;
     ``levi_rep`` has one vertex per Levi-irreducible component and encodes
-    which components are joined by the nilpotent action.
+    which components are joined by the nilpotent action.  Its maps are the
+    scalar 1 on every arrow: they only record which components are joined
+    and need not satisfy the commutator relations, so ``levi_rep`` is not
+    flat in general (A3/B is a counterexample).  It serves the closed
+    subsets and the King verdicts, which read only its nonzero arrows.
     """
 
     rep: QuiverRep

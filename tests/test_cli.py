@@ -303,3 +303,51 @@ def test_reduced_quiver_json_is_the_reduced_induced_quiver(capsys, series, rank)
         }
         for a in q.arrows
     ]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--grid", "-2"],
+        ["--section", "-3"],
+        ["--grid", "3", "--section", "6"],
+        ["--section", "6", "--grid", "-1"],
+    ],
+)
+def test_cone_rejects_negative_or_combined_sampling(capsys, extra):
+    code, out, err = run_cli(
+        capsys,
+        ["cone", "--series", "A", "--rank", "3", "--parabolic", "borel"] + extra,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "cone --series A --rank 3 --parabolic borel --grid 3",
+        "cone --series A --rank 3 --parabolic borel --section 6",
+        "king --series A --rank 3 --parabolic borel --polarization 1,2,3",
+    ],
+)
+def test_pointwise_verdicts_build_no_symbolic_cone(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the symbolic cone was built")
+
+    monkeypatch.setattr(cli, "stability_cone", refuse)
+    code, out, _ = run_cli(capsys, argv.split())
+    assert code == 0
+    assert "STABLE" in out
+
+
+def test_grid_zero_is_off(capsys):
+    args = ["cone", "--series", "A", "--rank", "2", "--parabolic", "1,2"]
+    code, plain, _ = run_cli(capsys, args)
+    assert code == 0
+    code, off, _ = run_cli(capsys, args + ["--grid", "0", "--section", "0"])
+    assert code == 0
+    assert off == plain
+    assert "inequalities" in json.loads(off)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import isqrt
 
@@ -5,6 +6,7 @@ import pytest
 
 from flagquiver import (
     BOUNDARY,
+    BudgetExceeded,
     IntPoly,
     NotAmple,
     NotLeviTrivialDeterminant,
@@ -19,6 +21,8 @@ from flagquiver import (
     build_root_system,
     c1_picard,
     cone_membership,
+    degree_cone,
+    degree_membership,
     equivalence_check,
     is_sigma_semistable,
     levi_components,
@@ -27,6 +31,7 @@ from flagquiver import (
     tangent_rep,
 )
 from flagquiver.stability import ConeInequality, Surd
+from conftest import all_parabolics
 from test_tangentrep import little_rep
 
 
@@ -235,6 +240,19 @@ def test_equivalence_check_degenerate_grid():
     assert report.entries[0][3] == STABLE
 
 
+def diagram_automorphisms(system):
+    """Nontrivial permutations of the simple roots fixing the Cartan matrix."""
+    cartan = system.cartan_matrix
+    n = system.rank
+    for perm in itertools.permutations(range(n)):
+        if perm != tuple(range(n)) and all(
+            cartan[perm[i]][perm[j]] == cartan[i][j]
+            for i in range(n)
+            for j in range(n)
+        ):
+            yield perm
+
+
 def test_dynkin_reversal_symmetry_of_the_cone():
     for n in (2, 3, 4):
         p = build_parabolic(build_root_system("A", n), [1, n])
@@ -242,6 +260,26 @@ def test_dynkin_reversal_symmetry_of_the_cone():
         for h in [(1, 2), (3, 1), (5, 4), (2, 7)]:
             swapped = (h[1], h[0])
             assert cone_membership(cone, h) == cone_membership(cone, swapped)
+    # Borel cases whose symbolic cone is too slow for the suite: A_n
+    # reversal, the D_n end swap, D4 triality and the E6 flip
+    rng = random.Random(7)
+    for series, rank, count in [
+        ("A", 5, 1), ("A", 6, 1), ("D", 4, 5), ("D", 5, 1), ("D", 6, 1),
+        ("E", 6, 1),
+    ]:
+        system = build_root_system(series, rank)
+        cone = degree_cone(borel(system))
+        perms = list(diagram_automorphisms(system))
+        assert len(perms) == count
+        verdicts = set()
+        for _ in range(40):
+            h = tuple(rng.randint(1, 6) for _ in range(rank))
+            verdict = degree_membership(cone, h)
+            verdicts.add(verdict)
+            for perm in perms:
+                image = tuple(h[perm[i]] for i in range(rank))
+                assert degree_membership(cone, image) == verdict
+        assert UNSTABLE in verdicts
 
 
 def test_anticanonical_polarization_is_stable():
@@ -259,6 +297,13 @@ def test_anticanonical_polarization_is_stable():
         anticanonical = c1_picard(p.tangent_weights, p)
         assert all(x > 0 for x in anticanonical)
         assert cone_membership(cone, anticanonical) == STABLE
+        assert degree_membership(degree_cone(p), anticanonical) == STABLE
+    # Borel cases whose symbolic cone is too slow for the suite
+    for series, rank in [("A", 5), ("A", 6), ("D", 5), ("D", 6), ("E", 6)]:
+        p = borel(build_root_system(series, rank))
+        anticanonical = c1_picard(p.tangent_weights, p)
+        assert anticanonical == (2,) * rank
+        assert degree_membership(degree_cone(p), anticanonical) == STABLE
 
 
 def test_irreducible_tangent_gives_empty_cone():
@@ -268,3 +313,101 @@ def test_irreducible_tangent_gives_empty_cone():
     cone = stability_cone(p)
     assert cone == []
     assert cone_membership(cone, (1,)) == STABLE
+    degrees = degree_cone(p)
+    assert degrees.rows == ()
+    assert degrees.forms == ((1,),)
+    assert {degree_membership(degrees, (h,)) for h in range(1, 20)} == {STABLE}
+
+
+def oracle_parabolics():
+    """Every parabolic of A1..A4 and D4."""
+    for rank in range(1, 5):
+        yield from all_parabolics(build_root_system("A", rank))
+    yield from all_parabolics(build_root_system("D", 4))
+
+
+def test_degree_membership_agrees_with_cone_membership():
+    points = 0
+    boundary = set()
+    for p in oracle_parabolics():
+        k = len(p.sigma)
+        cone, degrees = stability_cone(p), degree_cone(p)
+        assert len(degrees.rows) == len(cone)
+        assert len(degrees.forms) == len(levi_components(p))
+        for h in itertools.product(range(1, 7 if k < 4 else 5), repeat=k):
+            verdict = cone_membership(cone, h)
+            assert degree_membership(degrees, h) == verdict, (p, h)
+            points += 1
+            if verdict == BOUNDARY:
+                boundary.add((p.system.series, p.system.rank, p.sigma, h))
+    assert points == 3116
+    assert len(boundary) == 24
+    assert ("A", 3, (1, 2), (1, 2)) in boundary
+    assert ("D", 4, (1, 2), (1, 1)) in boundary
+
+
+def test_degree_membership_agrees_on_larger_parabolics():
+    # the A5/B points of `cone --section 14`, and a D5{2,4} grid
+    p = borel(build_root_system("A", 5))
+    cone, degrees = stability_cone(p), degree_cone(p)
+    verdicts = set()
+    for cut in itertools.combinations(range(1, 14), 4):
+        h = tuple(b - a for a, b in zip((0,) + cut, cut + (14,)))
+        verdict = degree_membership(degrees, h)
+        assert verdict == cone_membership(cone, h), h
+        verdicts.add(verdict)
+    assert verdicts == {STABLE, UNSTABLE}
+    p = build_parabolic(build_root_system("D", 5), [2, 4])
+    cone, degrees = stability_cone(p), degree_cone(p)
+    verdicts = set()
+    for h in itertools.product(range(1, 13), repeat=2):
+        verdict = degree_membership(degrees, h)
+        assert verdict == cone_membership(cone, h), h
+        verdicts.add(verdict)
+    assert verdicts == {STABLE, UNSTABLE}
+
+
+def test_degree_membership_errors_and_budget():
+    p = borel(build_root_system("A", 3))
+    degrees = degree_cone(p)
+    with pytest.raises(NotAmple):
+        degree_membership(degrees, (1, 0, 2))
+    with pytest.raises(ValueError):
+        degree_membership(degrees, (1, 2))
+    with pytest.raises(BudgetExceeded):
+        degree_cone(p, budget=10)
+    with pytest.raises(BudgetExceeded):
+        degree_cone(borel(build_root_system("E", 8)))
+
+
+def test_verdicts_are_homogeneous():
+    rng = random.Random(11)
+    cases = [
+        ("A", 3, (1, 2, 3)),
+        ("A", 3, (1, 2)),
+        ("A", 4, (1, 4)),
+        ("D", 4, (1, 2, 3, 4)),
+        ("D", 4, (2, 4)),
+        ("E", 6, (1, 6)),
+    ]
+    for series, rank, sigma in cases:
+        p = build_parabolic(build_root_system(series, rank), sigma)
+        cone, degrees = stability_cone(p), degree_cone(p)
+        for _ in range(25):
+            h = tuple(rng.randint(1, 6) for _ in sigma)
+            verdict = degree_membership(degrees, h)
+            for scale in (2, 3, 7):
+                multiple = tuple(scale * x for x in h)
+                assert degree_membership(degrees, multiple) == verdict
+                assert cone_membership(cone, multiple) == verdict
+    # the boundary survives scaling too
+    p = build_parabolic(build_root_system("A", 3), [1, 2])
+    degrees = degree_cone(p)
+    assert {degree_membership(degrees, (k, 2 * k)) for k in (1, 5, 40)} == {BOUNDARY}
+    p = borel(build_root_system("A", 6))
+    degrees = degree_cone(p)
+    for _ in range(20):
+        h = tuple(rng.randint(1, 5) for _ in range(6))
+        assert degree_membership(degrees, tuple(4 * x for x in h)) == (
+            degree_membership(degrees, h)
+        )
