@@ -71,7 +71,6 @@ from .stability import (
     Surd,
     boundary_2d,
     c1_picard,
-    cone_membership,
     degree_cone,
     degree_membership,
     equivalence_check,

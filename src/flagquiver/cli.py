@@ -61,6 +61,13 @@ def _parse_parabolic(text, system, allow_all=False):
     return [tuple(sorted(set(int(tok) for tok in text.split(","))))]
 
 
+def _parabolic(args):
+    """The parabolic of ``--series``, ``--rank`` and one ``--parabolic`` choice."""
+    system = build_root_system(args.series, args.rank)
+    (sigma,) = _parse_parabolic(args.parabolic, system)
+    return build_parabolic(system, sigma)
+
+
 def _check_out(path):
     """Refuse an --out path that open() would refuse, before any work."""
     if os.path.isdir(path):
@@ -96,7 +103,7 @@ def cmd_roots(args):
         for w in system.positive_roots:
             lines.append("positive," + ",".join(str(c) for c in w.coords2))
         _emit(args, "\n".join(lines) + "\n")
-    elif args.output == "text":
+    else:
         lines = [f"{system.series}{system.rank}: {len(system.positive_roots)} positive roots"]
         for w in system.positive_roots:
             lines.append(f"  {w.coords2} fundamental={w.fundamental}")
@@ -104,8 +111,6 @@ def cmd_roots(args):
         for row in system.cartan_matrix:
             lines.append("  " + " ".join(f"{x:3d}" for x in row))
         _emit(args, "\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"roots does not support output={args.output}")
     return EXIT_OK
 
 
@@ -161,10 +166,7 @@ def _tangent_quiver(args, p):
 
 
 def cmd_quiver(args):
-    system = build_root_system(args.series, args.rank)
-    (sigma,) = _parse_parabolic(args.parabolic, system)
-    p = build_parabolic(system, sigma)
-    rep = _tangent_quiver(args, p)
+    rep = _tangent_quiver(args, _parabolic(args))
     q = rep.quiver
     if args.output == "dot":
         _emit(args, quiver_mod.to_dot(q))
@@ -185,20 +187,16 @@ def cmd_quiver(args):
             ],
         }
         _emit(args, _dumps(data))
-    elif args.output == "text":
+    else:
         lines = [f"{len(q.vertices)} vertices, {len(q.arrows)} arrows"]
         for a in q.arrows:
             lines.append(f"  {q.vertices[a.src].coords2} -> {q.vertices[a.dst].coords2}")
         _emit(args, "\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"quiver does not support output={args.output}")
     return EXIT_OK
 
 
 def cmd_intersections(args):
-    system = build_root_system(args.series, args.rank)
-    (sigma,) = _parse_parabolic(args.parabolic, system)
-    p = build_parabolic(system, sigma)
+    p = _parabolic(args)
     rows = [
         (exps, intersection_number(p, exps, args.budget))
         for exps, _ in volume_polynomial(p, args.budget).sorted_items()
@@ -207,7 +205,7 @@ def cmd_intersections(args):
         data = [{"exps": list(e), "value": v} for e, v in rows]
         _emit(args, _dumps(data))
     else:
-        header = ",".join(f"e{i}" for i in sigma) + ",value"
+        header = ",".join(f"e{i}" for i in p.sigma) + ",value"
         lines = [header] + [
             ",".join(str(x) for x in e) + f",{v}" for e, v in rows
         ]
@@ -231,13 +229,14 @@ def cmd_cone(args):
         raise ValueError("--grid and --section need N >= 1 (0 is off)")
     if args.grid and args.section:
         raise ValueError("give --grid or --section, not both")
-    system = build_root_system(args.series, args.rank)
-    (sigma,) = _parse_parabolic(args.parabolic, system)
-    p = build_parabolic(system, sigma)
+    if args.boundary and (args.grid or args.section):
+        raise ValueError("--boundary cannot be combined with --grid or --section")
+    p = _parabolic(args)
     if args.grid or args.section:
         cone = degree_cone(p, args.budget)
+        k = len(p.sigma)
         if args.grid:
-            points = itertools.product(range(1, args.grid + 1), repeat=len(sigma))
+            points = itertools.product(range(1, args.grid + 1), repeat=k)
         else:
             # raster of the cross-section cut by the plane sum(a_i) = N; the
             # inequalities are homogeneous, so fixed-sum integer points sample
@@ -246,9 +245,9 @@ def cmd_cone(args):
             n = args.section
             points = (
                 tuple(b - a for a, b in zip((0,) + c, c + (n,)))
-                for c in itertools.combinations(range(1, n), len(sigma) - 1)
+                for c in itertools.combinations(range(1, n), k - 1)
             )
-        lines = [",".join(f"a{i}" for i in sigma) + ",verdict"]
+        lines = [",".join(f"a{i}" for i in p.sigma) + ",verdict"]
         for h in points:
             lines.append(
                 ",".join(str(x) for x in h)
@@ -281,11 +280,9 @@ def _surd_json(surd):
 
 
 def cmd_king(args):
-    system = build_root_system(args.series, args.rank)
-    (sigma,) = _parse_parabolic(args.parabolic, system)
-    p = build_parabolic(system, sigma)
+    p = _parabolic(args)
     h = tuple(int(tok) for tok in args.polarization.split(","))
-    if len(h) != len(sigma):
+    if len(h) != len(p.sigma):
         raise ValueError("polarization arity must match the number of marked roots")
     trep = tangent_rep(p)
     character = sigma_from_polarization(trep.levi_rep, p, h, args.budget)
@@ -310,11 +307,11 @@ def cmd_king(args):
     return EXIT_OK
 
 
-def _add_common(sub, default_output):
+def _add_common(sub, outputs):
+    """Options every command takes; ``outputs`` lists its formats, default first."""
     sub.add_argument("--series", required=True, help="A, D or E")
     sub.add_argument("--rank", required=True, type=int)
-    sub.add_argument("--output", default=default_output,
-                     choices=["json", "csv", "dot", "text"])
+    sub.add_argument("--output", default=outputs[0], choices=outputs)
     sub.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     sub.add_argument("--out", default=None, help="write to a file instead of stdout")
 
@@ -327,17 +324,17 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("roots", help="root system data")
-    _add_common(sub, "json")
+    _add_common(sub, ["json", "csv", "text"])
     sub.set_defaults(func=cmd_roots)
 
     sub = subs.add_parser("simplicity", help="simplicity certificate for tangent bundles")
-    _add_common(sub, "text")
+    _add_common(sub, ["text", "json"])
     sub.add_argument("--parabolic", required=True,
                      help="comma-separated indices, 'borel', or 'all'")
     sub.set_defaults(func=cmd_simplicity)
 
     sub = subs.add_parser("quiver", help="tangent quiver export")
-    _add_common(sub, "dot")
+    _add_common(sub, ["dot", "json", "text"])
     sub.add_argument("--parabolic", required=True)
     sub.add_argument("--mode", default=quiver_mod.FULL,
                      choices=[quiver_mod.FULL, quiver_mod.REDUCED])
@@ -345,12 +342,12 @@ def build_parser():
     sub.set_defaults(func=cmd_quiver)
 
     sub = subs.add_parser("intersections", help="nonzero divisor intersection numbers")
-    _add_common(sub, "csv")
+    _add_common(sub, ["csv", "json"])
     sub.add_argument("--parabolic", required=True)
     sub.set_defaults(func=cmd_intersections)
 
     sub = subs.add_parser("cone", help="stability cone of polarizations")
-    _add_common(sub, "json")
+    _add_common(sub, ["json"])
     sub.add_argument("--parabolic", required=True)
     sub.add_argument("--boundary", action="store_true",
                      help="include the closed-form 2-parameter boundary")
@@ -361,7 +358,7 @@ def build_parser():
     sub.set_defaults(func=cmd_cone)
 
     sub = subs.add_parser("king", help="character (semi)stability verdict")
-    _add_common(sub, "json")
+    _add_common(sub, ["json", "text"])
     sub.add_argument("--parabolic", required=True)
     sub.add_argument("--polarization", required=True)
     sub.set_defaults(func=cmd_king)

@@ -1,10 +1,8 @@
 """Parabolic subgroups: Levi/nilradical split and tangent-bundle weights."""
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ComponentVerificationFailed, EmptySigma
-from .rootsys import _dot2, coroot_pairing
+from .rootsys import _weyl_dimension, coroot_pairing
 
 
 class ParabolicData:
@@ -94,14 +92,12 @@ def is_levi_dominant(lam, p):
 
 def _levi_weyl_dimension(p, highest):
     """Weyl dimension of a Levi highest-weight module, exactly."""
+    # twice rho of the Levi, so the highest weight is doubled too
     s2l = [0] * p.system.ambient_dim
     for g in p.levi_positive:
         for k, c in enumerate(g.coords2):
             s2l[k] += c
-    num2 = tuple(2 * a + b for a, b in zip(highest.coords2, s2l))
-    dim = Fraction(1)
-    for g in p.levi_positive:
-        dim *= Fraction(_dot2(num2, g.coords2), _dot2(s2l, g.coords2))
+    dim = _weyl_dimension([2 * a for a in highest.coords2], s2l, p.levi_positive)
     if dim.denominator != 1 or dim <= 0:
         raise ComponentVerificationFailed(
             f"Levi Weyl dimension of {highest} is not a positive integer"

@@ -15,13 +15,6 @@ SERIES_A = "A"
 SERIES_D = "D"
 SERIES_E = "E"
 
-_POSITIVE_ROOT_COUNTS = {
-    SERIES_A: lambda n: (n + 1) * n // 2,
-    SERIES_D: lambda n: n * (n - 1),
-    SERIES_E: lambda n: {6: 36, 7: 63, 8: 120}[n],
-}
-
-
 def _dot2(u, v):
     return sum(a * b for a, b in zip(u, v))
 
@@ -88,7 +81,7 @@ class RootSystemData:
 
     Attributes mirror the standard combinatorial data: ``simple_roots``,
     ``positive_roots`` (sorted by height then coordinates), the Cartan
-    matrix and a sign table for the Chevalley structure constants.
+    matrix and the Weyl vector ``rho``.
     """
 
     def __init__(self, series, rank):
@@ -137,7 +130,6 @@ class RootSystemData:
             for k, c in enumerate(r.coords2):
                 two_rho[k] += c
         self.rho = Weight(tuple(c // 2 for c in two_rho), self)
-        self._chevalley_table = None
 
     def _enumerate_positive_roots(self):
         simples = [w.coords2 for w in self.simple_roots]
@@ -183,19 +175,6 @@ class RootSystemData:
 
     def height(self, root):
         return sum(self.expansion(root))
-
-    @property
-    def chevalley_sign(self):
-        """Full sign table over ordered root pairs (built on first use)."""
-        if self._chevalley_table is None:
-            table = {}
-            for a in self.roots:
-                for b in self.roots:
-                    if (a + b).coords2 == (0,) * self.ambient_dim:
-                        continue
-                    table[(a.coords2, b.coords2)] = chevalley_constant(a, b)
-            self._chevalley_table = table
-        return self._chevalley_table
 
     def __repr__(self):
         return f"RootSystemData({self.series}{self.rank})"
@@ -298,11 +277,20 @@ def h0_dimension(lam):
     if not is_dominant(lam):
         return 0
     system = lam.system
-    rho2 = system.rho.coords2
-    num2 = tuple(a + b for a, b in zip(lam.coords2, rho2))
-    dim = Fraction(1)
-    for alpha in system.positive_roots:
-        dim *= Fraction(_dot2(num2, alpha.coords2), _dot2(rho2, alpha.coords2))
+    dim = _weyl_dimension(lam.coords2, system.rho.coords2, system.positive_roots)
     if dim.denominator != 1:
         raise ValueError("Weyl dimension did not come out integral")
     return int(dim)
+
+
+def _weyl_dimension(lam2, rho2, positive_roots):
+    """prod_alpha <lam + rho, alpha> / <rho, alpha>, as an exact Fraction.
+
+    Scaling lam and rho by one common factor leaves the value unchanged.
+    """
+    num2 = tuple(a + b for a, b in zip(lam2, rho2))
+    num = den = 1
+    for alpha in positive_roots:
+        num *= _dot2(num2, alpha.coords2)
+        den *= _dot2(rho2, alpha.coords2)
+    return Fraction(num, den)

@@ -78,11 +78,7 @@ def c1_picard(weights, p):
 
 
 def _slope_gaps(p, comps):
-    """rank(c) * c1(T) - dim * c1(c) for each component c.
-
-    c1 is additive, so the gap of a subbundle is the sum of its components'
-    gaps; its degree at H is rk * deg(T) - dim * deg(S).
-    """
+    """rank(c) * c1(T) - dim * c1(c) for each component c."""
     c1_total = c1_picard(p.tangent_weights, p)
     return [
         tuple(
@@ -91,6 +87,17 @@ def _slope_gaps(p, comps):
         )
         for c in comps
     ]
+
+
+def _subset_gaps(p, trep):
+    """(S, d(S)) for each reduced closed subset S of the Levi-level rep.
+
+    c1 is additive, so the slope gap d(S) of a subbundle is the sum of its
+    components' gaps; its degree at H is rk * deg(T) - dim * deg(S).
+    """
+    gaps = _slope_gaps(p, trep.components)
+    for subset in closed_subsets(trep.levi_rep, reduce=True):
+        yield subset, [sum(col) for col in zip(*(gaps[ci] for ci in subset))]
 
 
 def stability_cone(p, budget=DEFAULT_BUDGET):
@@ -106,14 +113,11 @@ def stability_cone(p, budget=DEFAULT_BUDGET):
     dim, built in one pass over the partial derivatives.
     """
     qpolys = intersection_polynomial(p, p.dim - 1, budget)
-    trep = tangent_rep(p)
-    gaps = _slope_gaps(p, trep.components)
     k = len(p.sigma)
     inequalities = []
-    for subset in closed_subsets(trep.levi_rep, reduce=True):
+    for subset, gap in _subset_gaps(p, tangent_rep(p)):
         terms = {}
-        for pos in range(k):
-            d = sum(gaps[ci][pos] for ci in subset)
+        for pos, d in enumerate(gap):
             if d:
                 for exps, coeff in qpolys[pos].terms.items():
                     terms[exps] = terms.get(exps, 0) + d * coeff
@@ -128,19 +132,6 @@ def _ample(polarization):
     if any(x <= 0 for x in h):
         raise NotAmple(f"polarization {h} has a non-positive entry")
     return h
-
-
-def cone_membership(inequalities, polarization):
-    """STABLE / UNSTABLE / boundary verdict for an ample integer tuple."""
-    h = _ample(polarization)
-    on_boundary = False
-    for ineq in inequalities:
-        value = ineq.polynomial.evaluate(h)
-        if value < 0:
-            return UNSTABLE
-        if value == 0:
-            on_boundary = True
-    return BOUNDARY if on_boundary else STABLE
 
 
 def degree_cone(p, budget=DEFAULT_BUDGET):
@@ -158,25 +149,24 @@ def degree_cone(p, budget=DEFAULT_BUDGET):
     """
     _check_budget(p, budget)
     trep = tangent_rep(p)
-    gaps = _slope_gaps(p, trep.components)
     forms = []
     for c in trep.components:
         exp = p.system.expansion(-c.highest_weight)
         forms.append(tuple(exp[i - 1] for i in p.sigma))
-    rows = []
-    for subset in closed_subsets(trep.levi_rep, reduce=True):
-        d = [sum(gaps[ci][pos] for ci in subset) for pos in range(len(p.sigma))]
-        rows.append(tuple(
-            c.rank * sum(x * f for x, f in zip(d, form))
+    rows = tuple(
+        tuple(
+            c.rank * sum(map(mul, d, form))
             for c, form in zip(trep.components, forms)
-        ))
-    return DegreeCone(tuple(forms), tuple(rows))
+        )
+        for _, d in _subset_gaps(p, trep)
+    )
+    return DegreeCone(tuple(forms), rows)
 
 
 def degree_membership(cone, polarization):
-    """``cone_membership`` of an ample integer tuple, read off a ``degree_cone``.
+    """STABLE / UNSTABLE / boundary verdict at an ample integer tuple.
 
-    Row sums weight component c by D(h) / L_c(h), an exact integer.
+    This is the only pointwise cone verdict of the library.  Row sums weight component c by D(h) / L_c(h), an exact integer.
     """
     h = _ample(polarization)
     if len(h) != len(cone.forms[0]):
@@ -416,10 +406,13 @@ def equivalence_check(p, polarization_grid, budget=DEFAULT_BUDGET):
     """Cross-check character verdicts against slope-cone verdicts.
 
     For every grid point the King verdict must match the cone verdict:
-    semistable iff not UNSTABLE, stable iff STABLE.  The report lists any
+    semistable iff not UNSTABLE, stable iff STABLE.  The two routes are
+    independent: the character comes from the intersection polynomials
+    and is checked over every closed subset, the cone verdict from the
+    degree forms over the reduced ones.  The report lists any
     disagreement; agreement everywhere is the expected outcome.
     """
-    inequalities = stability_cone(p, budget)
+    cone = degree_cone(p, budget)
     trep = tangent_rep(p)
     entries = []
     disagreements = []
@@ -427,7 +420,7 @@ def equivalence_check(p, polarization_grid, budget=DEFAULT_BUDGET):
         h = tuple(int(x) for x in h)
         sigma = sigma_from_polarization(trep.levi_rep, p, h, budget)
         king = is_sigma_semistable(trep.levi_rep, sigma)
-        verdict = cone_membership(inequalities, h)
+        verdict = degree_membership(cone, h)
         entries.append((h, king.semistable, king.stable, verdict))
         if king.semistable != (verdict != UNSTABLE) or king.stable != (
             verdict == STABLE

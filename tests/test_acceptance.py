@@ -18,7 +18,6 @@ from flagquiver import (
     c1_picard,
     chevalley_constant,
     closed_subsets,
-    cone_membership,
     equivalence_check,
     intersection_number,
     simplicity_report,
@@ -28,6 +27,7 @@ from flagquiver import (
 )
 from flagquiver.stability import STABLE, UNSTABLE, Surd, boundary_2d
 from flagquiver.tangentrep import VERDICT_SIMPLE
+from cone_oracle import cone_membership
 import random
 
 

@@ -308,20 +308,37 @@ def test_reduced_quiver_json_is_the_reduced_induced_quiver(capsys, series, rank)
 @pytest.mark.parametrize(
     "extra",
     [
-        ["--grid", "-2"],
-        ["--section", "-3"],
-        ["--grid", "3", "--section", "6"],
-        ["--section", "6", "--grid", "-1"],
+        "--rank 3 --parabolic borel --grid -2".split(),
+        "--rank 3 --parabolic borel --section -3".split(),
+        "--rank 3 --parabolic borel --grid 3 --section 6".split(),
+        "--rank 3 --parabolic borel --section 6 --grid -1".split(),
+        # two parameters, so --boundary on its own would succeed
+        "--rank 2 --parabolic 1,2 --boundary --grid 2".split(),
+        "--rank 2 --parabolic 1,2 --section 5 --boundary".split(),
     ],
 )
 def test_cone_rejects_negative_or_combined_sampling(capsys, extra):
-    code, out, err = run_cli(
-        capsys,
-        ["cone", "--series", "A", "--rank", "3", "--parabolic", "borel"] + extra,
-    )
+    code, out, err = run_cli(capsys, ["cone", "--series", "A"] + extra)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "cone --series A --rank 2 --parabolic 1,2 --output csv",
+        "king --series A --rank 2 --parabolic 1,2 --polarization 1,1 --output dot",
+        "intersections --series A --rank 3 --parabolic borel --output dot",
+        "simplicity --series A --rank 3 --parabolic borel --output csv",
+    ],
+)
+def test_unimplemented_output_is_invalid_input(capsys, argv):
+    code, out, err = run_cli(capsys, argv.split())
+    assert code == 2
+    assert out == ""
+    assert "invalid choice" in err
     assert "Traceback" not in err
 
 

@@ -1,8 +1,11 @@
+import functools
 import itertools
 import random
 from math import isqrt
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from flagquiver import (
     BOUNDARY,
@@ -20,7 +23,6 @@ from flagquiver import (
     build_parabolic,
     build_root_system,
     c1_picard,
-    cone_membership,
     degree_cone,
     degree_membership,
     equivalence_check,
@@ -30,7 +32,9 @@ from flagquiver import (
     stability_cone,
     tangent_rep,
 )
+from flagquiver import stability
 from flagquiver.stability import ConeInequality, Surd
+from cone_oracle import cone_membership
 from conftest import all_parabolics
 from test_tangentrep import little_rep
 
@@ -240,6 +244,32 @@ def test_equivalence_check_degenerate_grid():
     assert report.entries[0][3] == STABLE
 
 
+def test_equivalence_check_builds_no_symbolic_cone(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the symbolic cone was built")
+
+    monkeypatch.setattr(stability, "stability_cone", refuse)
+    p = borel(build_root_system("A", 3))
+    report = equivalence_check(p, [(1, 1, 1), (1, 10, 1), (2, 2, 2)])
+    assert report.disagreements == ()
+    assert [e[3] for e in report.entries] == [STABLE, UNSTABLE, STABLE]
+
+
+def test_equivalence_check_reports_a_lying_slope_side(monkeypatch):
+    # the King side is untouched, so every point where the slope side
+    # contradicts it must come back as a disagreement
+    p = build_parabolic(build_root_system("A", 2), [1, 2])
+    grid = [(1, 1), (1, 10), (4, 5), (10, 1)]
+    honest = equivalence_check(p, grid)
+    assert honest.disagreements == ()
+    monkeypatch.setattr(stability, "degree_membership", lambda cone, h: STABLE)
+    lying = equivalence_check(p, grid)
+    assert [e[3] for e in lying.entries] == [STABLE] * 4
+    assert [d[0] for d in lying.disagreements] == [(1, 10), (10, 1)]
+    for h, semistable, stable, verdict in lying.disagreements:
+        assert (semistable, stable, verdict) == (False, False, STABLE)
+
+
 def diagram_automorphisms(system):
     """Nontrivial permutations of the simple roots fixing the Cartan matrix."""
     cartan = system.cartan_matrix
@@ -411,3 +441,41 @@ def test_verdicts_are_homogeneous():
         assert degree_membership(degrees, tuple(4 * x for x in h)) == (
             degree_membership(degrees, h)
         )
+
+
+ORACLE_CASES = [
+    (p.system.series, p.system.rank, p.sigma) for p in oracle_parabolics()
+]
+
+
+@functools.cache
+def _oracle_cones(case):
+    series, rank, sigma = case
+    p = build_parabolic(build_root_system(series, rank), sigma)
+    return stability_cone(p), degree_cone(p)
+
+
+@st.composite
+def large_points(draw):
+    """A parabolic of A1..A4 or D4 and an ample point with entries up to 10^6.
+
+    Half the points are small points scaled up, so that boundary points
+    (which random large points all but never hit) occur at large entries.
+    """
+    case = draw(st.sampled_from(ORACLE_CASES))
+    k = len(case[2])
+    if draw(st.booleans()):
+        h = draw(st.tuples(*[st.integers(1, 10**6)] * k))
+    else:
+        scale = draw(st.integers(1, 10**5))
+        h = tuple(scale * x for x in draw(st.tuples(*[st.integers(1, 6)] * k)))
+    return case, h
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(large_points())
+def test_degree_membership_matches_the_oracle_at_large_points(case_point):
+    case, h = case_point
+    cone, degrees = _oracle_cones(case)
+    assert degree_membership(degrees, h) == cone_membership(cone, h)
