@@ -229,10 +229,15 @@ def cmd_cone(args):
         raise ValueError("--grid and --section need N >= 1 (0 is off)")
     if args.grid and args.section:
         raise ValueError("give --grid or --section, not both")
-    if args.boundary and (args.grid or args.section):
+    sampled = bool(args.grid or args.section)
+    if args.boundary and sampled:
         raise ValueError("--boundary cannot be combined with --grid or --section")
+    written = "csv" if sampled else "json"
+    if args.output not in (None, written):
+        raise ValueError(f"argument --output: invalid choice: {args.output!r}"
+                         f" (this request writes {written})")
     p = _parabolic(args)
-    if args.grid or args.section:
+    if sampled:
         cone = degree_cone(p, args.budget)
         k = len(p.sigma)
         if args.grid:
@@ -347,7 +352,9 @@ def build_parser():
     sub.set_defaults(func=cmd_intersections)
 
     sub = subs.add_parser("cone", help="stability cone of polarizations")
-    _add_common(sub, ["json"])
+    _add_common(sub, ["json", "csv"])
+    # unset, the format follows the request: json for the cone, csv for a sample
+    sub.set_defaults(output=None)
     sub.add_argument("--parabolic", required=True)
     sub.add_argument("--boundary", action="store_true",
                      help="include the closed-form 2-parameter boundary")

@@ -115,16 +115,20 @@ class RelationInstance(NamedTuple):
 def _relations(q, sources):
     """Relations at the given sources with at least one term in the quiver.
 
-    Each nilradical pair is tried once per source, with its sum and
-    Chevalley constant precomputed; a pair none of whose labels leaves the
-    source has no term and is skipped before any path is followed.
+    Each nilradical pair is listed once, with its sum and Chevalley
+    constant precomputed, under every label that can give it a term:
+    alpha, beta and, when the bracket is nonzero, alpha + beta.  A source
+    only visits the pairs listed under its outgoing labels, in pair order.
     """
     nil = q.parabolic.nilradical_weights
     pairs = []
+    by_label = {}
     for ia, alpha in enumerate(nil):
         for beta in nil[ia + 1:]:
             s = alpha + beta
             n = chevalley_constant(alpha, beta) if s.is_root else 0
+            for label in (alpha.coords2, beta.coords2) + ((s.coords2,) if n else ()):
+                by_label.setdefault(label, []).append(len(pairs))
             pairs.append((alpha, beta, s.coords2, n))
 
     def path(k1, second):
@@ -133,11 +137,10 @@ def _relations(q, sources):
 
     for src in sources:
         out = q.out_by_label.get(src, {})
-        for alpha, beta, sum_coords, n in pairs:
+        for i in sorted(set().union(*(by_label.get(label, ()) for label in out))):
+            alpha, beta, sum_coords, n = pairs[i]
             ka, kb = out.get(alpha.coords2), out.get(beta.coords2)
             bracket = out.get(sum_coords) if n else None
-            if ka is None and kb is None and bracket is None:
-                continue
             path_a, path_b = path(ka, beta), path(kb, alpha)
             if path_a or path_b or bracket is not None:
                 yield RelationInstance(src, alpha, beta, n, path_a, path_b, bracket)

@@ -1,13 +1,12 @@
 """Tangent-bundle quiver representations and the simplicity certificate."""
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NotMultiplicityFree
 from .parabolic import borel, levi_components
 from .quiver import FULL, Arrow, InducedQuiver, QuiverRep, induced_quiver
-from .rootsys import chevalley_constant, is_dominant
+from .rootsys import chevalley_constant
 
 VERDICT_SIMPLE = "SIMPLE"
 VERDICT_WEAKLY_SIMPLE_ONLY = "WEAKLY_SIMPLE_ONLY"
@@ -77,73 +76,26 @@ def tangent_rep(p):
 def structure_report(rep):
     """(multiplicity free, number of connected components) of the support."""
     multiplicity_free = all(rep.dims[i] == 1 for i in rep.support)
-    nbrs = _neighbours(_nonzero_successors(rep))
-    rest = set(nbrs)
+    succ = _nonzero_successors(rep)
+    nbrs = _neighbour_masks(succ, list(succ))
+    rest = (1 << len(nbrs)) - 1
     components = 0
     while rest:
-        rest -= _part(min(rest), rest, nbrs)
+        rest &= ~_component(rest & -rest, rest, nbrs)
         components += 1
     return multiplicity_free, components
 
 
 def hom_dimension(rep):
-    """Dimension of the endomorphism space of the representation.
+    """Dimension of the endomorphism space of a multiplicity-free rep.
 
-    Solves the commutation system g phi_src = phi_dst g over the rationals
-    by sparse row reduction; for multiplicity-free representations this is
-    the number of connected components.
+    Each vertex carries one scalar, and a nonzero arrow forces the scalars
+    at its two ends to be equal, so the endomorphisms are the locally
+    constant scalars: one per connected component of the support.
     """
-    support = rep.support
-    offsets = {}
-    total = 0
-    for v in support:
-        offsets[v] = total
-        total += rep.dims[v] ** 2
-
-    def var(v, i, j):
-        return offsets[v] + i * rep.dims[v] + j
-
-    basis = {}  # pivot column -> normalized sparse row
-
-    def add_row(row):
-        while row:
-            c = min(row)
-            if c in basis:
-                coef = row[c]
-                for bc, bv in basis[c].items():
-                    row[bc] = row.get(bc, Fraction(0)) - coef * bv
-                    if not row[bc]:
-                        del row[bc]
-            else:
-                inv = Fraction(1) / row[c]
-                basis[c] = {k: v * inv for k, v in row.items()}
-                return 1
-        return 0
-
-    rank = 0
-    for k, a in enumerate(rep.quiver.arrows):
-        if a.src not in offsets or a.dst not in offsets:
-            continue
-        g = rep.maps.get(k)
-        if g is None:
-            continue
-        ds, dt = rep.dims[a.src], rep.dims[a.dst]
-        for pi in range(dt):
-            for qj in range(ds):
-                row = {}
-                for j in range(ds):
-                    if g[pi][j]:
-                        row[var(a.src, j, qj)] = (
-                            row.get(var(a.src, j, qj), Fraction(0)) + g[pi][j]
-                        )
-                for i in range(dt):
-                    if g[i][qj]:
-                        c = var(a.dst, pi, i)
-                        row[c] = row.get(c, Fraction(0)) - g[i][qj]
-                row = {c: v for c, v in row.items() if v}
-                if row:
-                    rank += add_row(row)
-    return total - rank
+    if any(rep.dims[v] != 1 for v in rep.support):
+        raise NotMultiplicityFree("hom_dimension requires all dims equal to 1")
+    return structure_report(rep)[1]
 
 
 def _nonzero_successors(rep):
@@ -154,24 +106,46 @@ def _nonzero_successors(rep):
     return succ
 
 
-def _neighbours(succ):
-    """Undirected adjacency of a successor map."""
-    nbrs = {v: set(ws) for v, ws in succ.items()}
+def _neighbour_masks(succ, order):
+    """Undirected adjacency of a successor map, as bitmasks over ``order``."""
+    pos = {v: i for i, v in enumerate(order)}
+    nbrs = [0] * len(order)
     for v, ws in succ.items():
         for w in ws:
-            nbrs[w].add(v)
+            nbrs[pos[v]] |= 1 << pos[w]
+            nbrs[pos[w]] |= 1 << pos[v]
     return nbrs
 
 
-def _part(start, inside, adj):
-    """Vertices of ``inside`` reachable from ``start`` along ``adj``."""
-    seen, frontier = {start}, {start}
+def _component(start, inside, nbrs):
+    """Bits of ``inside`` joined to the bit ``start`` along ``nbrs``."""
+    seen = frontier = start
     while frontier:
-        frontier = set().union(*(adj[u] for u in frontier))
-        frontier &= inside
-        frontier -= seen
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            grow |= nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grow & inside & ~seen
         seen |= frontier
     return seen
+
+
+def _topological_order(succ):
+    """Kahn's order of an acyclic successor map: arrows point to later vertices."""
+    indegree = dict.fromkeys(succ, 0)
+    for ws in succ.values():
+        for w in ws:
+            indegree[w] += 1
+    order = [v for v in succ if not indegree[v]]
+    for v in order:
+        for w in succ[v]:
+            indegree[w] -= 1
+            if not indegree[w]:
+                order.append(w)
+    if len(order) != len(succ):
+        raise ValueError("closed subsets require an acyclic quiver")
+    return order
 
 
 def closed_subsets(rep, reduce=False):
@@ -182,43 +156,55 @@ def closed_subsets(rep, reduce=False):
     union of two smaller closed subsets (equivalently, whose induced graph
     is disconnected) are dropped: their slope constraint is a mediant of
     the parts' and therefore redundant.
+
+    Sets are bitmasks over a topological order.  The walk splits the
+    candidates ``inside`` on their lowest vertex v, which has no
+    predecessor among them: closed subsets without v, and those holding
+    ``reach[v] & inside``, the descendants of v among the candidates.
+    Dropping a source or a successor-closed part keeps every path between
+    the remaining candidates inside them, so that is the closure of v.
     """
-    for v in rep.support:
-        if rep.dims[v] != 1:
-            raise NotMultiplicityFree("closed subsets require all dims equal to 1")
+    if any(rep.dims[v] != 1 for v in rep.support):
+        raise NotMultiplicityFree("closed subsets require all dims equal to 1")
     succ = _nonzero_successors(rep)
-    full = frozenset(succ)
-
-    reach_cache = {}
-
-    def closure(v, inside):
-        key = (v, inside)
-        if key not in reach_cache:
-            reach_cache[key] = frozenset(_part(v, inside, succ))
-        return reach_cache[key]
-
-    memo = {}
-
-    def downsets(inside):
-        if inside in memo:
-            return memo[inside]
+    order = _topological_order(succ)
+    pos = {v: i for i, v in enumerate(order)}
+    reach = [0] * len(order)
+    for i in reversed(range(len(order))):
+        reach[i] = 1 << i
+        for w in succ[order[i]]:
+            reach[i] |= reach[pos[w]]
+    full = (1 << len(order)) - 1
+    sets = []
+    stack = [(full, 0)]
+    while stack:
+        inside, chosen = stack.pop()
         if not inside:
-            return [frozenset()]
-        targets = set()
-        for v in inside:
-            targets.update(succ[v] & inside)
-        source = min(inside - targets)
-        without = downsets(inside - {source})
-        cl = closure(source, inside)
-        withs = [cl | t for t in downsets(inside - cl)]
-        memo[inside] = without + withs
-        return memo[inside]
-
-    sets = [s for s in downsets(full) if s and s != full]
+            if chosen and chosen != full:
+                sets.append(chosen)
+            continue
+        closure = reach[(inside & -inside).bit_length() - 1] & inside
+        stack.append((inside ^ closure, chosen | closure))
+        stack.append((inside & (inside - 1), chosen))
     if reduce:
-        nbrs = _neighbours(succ)
-        sets = [s for s in sets if _part(min(s), s, nbrs) == s]
-    return sorted((tuple(sorted(s)) for s in sets), key=lambda t: (len(t), t))
+        nbrs = _neighbour_masks(succ, order)
+        sets = [s for s in sets if _component(s & -s, s, nbrs) == s]
+    # the vertices of every value of each 4-bit nibble of a mask
+    nibbles = []
+    for k in range(0, len(order), 4):
+        table = [()]
+        for v in order[k:k + 4]:
+            table += [t + (v,) for t in table]
+        nibbles.append(table)
+    out = []
+    for s in sets:
+        members = []
+        for table in nibbles:
+            members += table[s & 15]
+            s >>= 4
+        members.sort()
+        out.append(tuple(members))
+    return sorted(out, key=lambda t: (len(t), t))
 
 
 def dominant_sum_check(p):
@@ -226,14 +212,16 @@ def dominant_sum_check(p):
 
     The simplicity argument needs this set to be exactly {0}: the only
     dominant summand of End of the graded tangent bundle is the trivial
-    one.
+    one.  Coroot pairings are additive, so a sum is dominant when the
+    pairings of its two terms add up to nonnegative integers.
     """
+    tangent = [(b, b.fundamental) for b in p.tangent_weights]
     out = set()
     for a in p.nilradical_weights:
-        for b in p.tangent_weights:
-            s = a + b
-            if is_dominant(s):
-                out.add(s)
+        fa = a.fundamental
+        for b, fb in tangent:
+            if all(x + y >= 0 for x, y in zip(fa, fb)):
+                out.add(a + b)
     return frozenset(out)
 
 

@@ -368,3 +368,34 @@ def test_grid_zero_is_off(capsys):
     assert code == 0
     assert off == plain
     assert "inequalities" in json.loads(off)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        "--grid 2 --output json".split(),
+        "--section 6 --output json".split(),
+        "--output csv".split(),
+        "--boundary --output csv".split(),
+    ],
+)
+def test_cone_output_must_match_what_is_written(capsys, extra):
+    argv = "cone --series A --rank 2 --parabolic 1,2".split() + extra
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "extra,fmt",
+    [([], "json"), (["--grid", "3"], "csv"), (["--section", "6"], "csv")],
+)
+def test_cone_default_output_is_the_written_format(capsys, extra, fmt):
+    argv = "cone --series A --rank 2 --parabolic 1,2".split() + extra
+    code, default, _ = run_cli(capsys, argv)
+    assert code == 0
+    code, explicit, _ = run_cli(capsys, argv + ["--output", fmt])
+    assert code == 0
+    assert explicit == default

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from flagquiver import (
@@ -162,6 +164,51 @@ def test_relation_count_matches_brute_force(series, rank):
                 if pa or pb or br:
                     count += 1
     assert len(relation_instances(q)) == count > 0
+
+
+def all_pairs_relations(q):
+    """Every nilradical pair at every source, kept when a term is realizable."""
+    nil = q.parabolic.nilradical_weights
+
+    def path(k1, second):
+        k2 = None if k1 is None else q.arrow_index(q.arrows[k1].dst, second.coords2)
+        return None if k2 is None else (k1, k2)
+
+    out = []
+    for src in range(len(q.vertices)):
+        for ia, alpha in enumerate(nil):
+            for beta in nil[ia + 1:]:
+                s = alpha + beta
+                n = chevalley_constant(alpha, beta) if s.is_root else 0
+                ka = q.arrow_index(src, alpha.coords2)
+                kb = q.arrow_index(src, beta.coords2)
+                bracket = q.arrow_index(src, s.coords2) if n else None
+                path_a, path_b = path(ka, beta), path(kb, alpha)
+                if path_a or path_b or bracket is not None:
+                    out.append(
+                        RelationInstance(src, alpha, beta, n, path_a, path_b, bracket)
+                    )
+    return out
+
+
+def test_relations_match_all_pairs_scan_on_induced_subquivers():
+    # subquivers drop vertices, so a pair can have a term through beta alone
+    # (A3: the pair a3, a1 at -(a1+a2+a3) without -(a1+a2))
+    rng = random.Random(7)
+    for series, rank, samples in [("A", 3, None), ("A", 4, 60), ("D", 4, 40)]:
+        b = borel(build_root_system(series, rank))
+        weights = b.tangent_weights
+        if samples is None:
+            subsets = [
+                [w for i, w in enumerate(weights) if mask >> i & 1]
+                for mask in range(1, 1 << len(weights))
+            ]
+        else:
+            subsets = [rng.sample(weights, rng.randint(2, len(weights)))
+                       for _ in range(samples)]
+        for vertices in subsets:
+            q = induced_quiver(b, vertices, FULL)
+            assert relation_instances(q) == all_pairs_relations(q), vertices
 
 
 def test_flatness_zero_rep_and_tangent_reps():

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagquiver import (
     FULL,
@@ -19,6 +21,7 @@ from flagquiver import (
     tangent_rep,
     verify_flatness,
 )
+from flagquiver.rootsys import is_dominant
 from flagquiver.tangentrep import (
     VERDICT_INCONCLUSIVE,
     VERDICT_SIMPLE,
@@ -26,16 +29,19 @@ from flagquiver.tangentrep import (
     verdict_for,
 )
 
+from conftest import all_parabolics
+from hom_oracle import hom_dimension as oracle_hom_dimension
 
-def little_rep(n_vertices, arrows, dims=None, scalars=None):
-    # fabricate a small quiver; vertex weights do not matter for these
-    # graph-level operations
-    a2 = build_root_system("A", 2)
-    p = borel(a2)
-    label = a2.simple_root(1)
-    verts = [-r for r in a2.positive_roots][:n_vertices]
+
+def little_rep(n_vertices, arrows, dims=None, scalars=None, rank=2):
+    # fabricate a small quiver on negative roots of A_rank; vertex weights do
+    # not matter for these graph-level operations
+    system = build_root_system("A", rank)
+    p = borel(system)
+    label = system.simple_root(1)
+    verts = [-r for r in system.positive_roots][:n_vertices]
     if len(verts) < n_vertices:
-        raise ValueError("test helper limited to 3 vertices")
+        raise ValueError(f"A{rank} has fewer than {n_vertices} positive roots")
     quiver = InducedQuiver(
         verts, [Arrow(s, t, label) for s, t in arrows], FULL, p
     )
@@ -112,9 +118,26 @@ def test_hom_dimension_cases():
     a3 = build_root_system("A", 3)
     assert hom_dimension(tangent_rep(borel(a3)).rep) == 1
     assert hom_dimension(little_rep(2, [])) == 2
-    assert hom_dimension(little_rep(1, [], dims=(2,))) == 4
+    assert oracle_hom_dimension(little_rep(1, [], dims=(2,))) == 4
     # identity map forces equal scalars on both sides
     assert hom_dimension(little_rep(2, [(0, 1)])) == 1
+    # a zero map does not
+    assert hom_dimension(little_rep(2, [(0, 1)], scalars=[0])) == 2
+
+
+def test_hom_dimension_requires_multiplicity_free():
+    with pytest.raises(NotMultiplicityFree):
+        hom_dimension(little_rep(1, [], dims=(2,)))
+
+
+def test_hom_dimension_matches_row_reduction_oracle(sweep_parabolics):
+    # every parabolic of A1-A5, D4 and D5, and the E6/E7 Borels
+    for p in sweep_parabolics:
+        if p.system.series == "E" and p.system.rank == 8:
+            continue
+        trep = tangent_rep(p)
+        for rep in (trep.rep, trep.levi_rep):
+            assert hom_dimension(rep) == oracle_hom_dimension(rep), p
 
 
 def test_closed_subsets_point_hyperplane():
@@ -132,9 +155,11 @@ def test_closed_subsets_single_vertex_and_errors():
     assert closed_subsets(little_rep(1, [])) == []
     with pytest.raises(NotMultiplicityFree):
         closed_subsets(little_rep(1, [], dims=(2,)))
+    with pytest.raises(ValueError):
+        closed_subsets(little_rep(2, [(0, 1), (1, 0)]))
 
 
-def brute_force_closed(rep):
+def brute_force_closed(rep, reduce=False):
     support = rep.support
     arrows = [
         (a.src, a.dst)
@@ -146,8 +171,70 @@ def brute_force_closed(rep):
         for sub in combinations(support, size):
             s = set(sub)
             if all(dst in s for src, dst in arrows if src in s):
+                if reduce and not _connected(s, arrows):
+                    continue
                 out.append(tuple(sorted(s)))
     return sorted(out, key=lambda t: (len(t), t))
+
+
+def _connected(vertices, arrows):
+    seen, todo = set(), [min(vertices)]
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo.extend(
+                w for a, b in arrows for u, w in ((a, b), (b, a))
+                if u == v and w in vertices
+            )
+    return seen == vertices
+
+
+@st.composite
+def dag_reps(draw):
+    """Random one-dimensional reps on at most 12 vertices, acyclic in a
+    shuffled vertex order, with some arrows carrying the zero map."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations(range(n)))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda e: e[0] < e[1]),
+        unique=True, max_size=3 * n,
+    ))
+    arrows = [(order[i], order[j]) for i, j in edges]
+    scalars = draw(st.lists(st.sampled_from([0, 1, 1]),
+                            min_size=len(arrows), max_size=len(arrows)))
+    return little_rep(n, arrows, scalars=scalars, rank=5)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(dag_reps())
+def test_closed_subsets_match_brute_force_on_random_dags(rep):
+    assert closed_subsets(rep) == brute_force_closed(rep)
+    assert closed_subsets(rep, reduce=True) == brute_force_closed(rep, reduce=True)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(dag_reps())
+def test_hom_dimension_matches_oracle_on_random_dags(rep):
+    assert hom_dimension(rep) == oracle_hom_dimension(rep)
+
+
+def test_closed_subsets_on_a_long_path():
+    # one closed subset per proper suffix; a walk that recursed once per
+    # vertex would overflow the interpreter stack here
+    n = 1500
+    rep = little_rep(n, [(i, i + 1) for i in range(n - 1)], rank=60)
+    for reduce in (False, True):
+        sets = closed_subsets(rep, reduce=reduce)
+        assert len(sets) == n - 1
+        assert sets[0] == (n - 1,) and sets[-1] == tuple(range(1, n))
+
+
+def test_e7_borel_levi_closed_subset_counts():
+    levi = tangent_rep(borel(build_root_system("E", 7))).levi_rep
+    assert len(closed_subsets(levi)) == 4158
+    assert len(closed_subsets(levi, reduce=True)) == 2291
 
 
 def test_sl4_borel_closed_subsets_against_exhaustive_scan():
@@ -202,6 +289,26 @@ def test_dominant_sums_contain_zero_for_parabolics():
         sums = dominant_sum_check(build_parabolic(a4, sigma))
         zero = a4.weight((0,) * 5)
         assert zero in sums
+
+
+def weight_dominant_sums(p):
+    """The dominant sums by Weight addition and is_dominant, pair by pair."""
+    return frozenset(
+        a + b
+        for a in p.nilradical_weights
+        for b in p.tangent_weights
+        if is_dominant(a + b)
+    )
+
+
+def test_dominant_sums_match_weight_arithmetic():
+    systems = [("A", n) for n in range(1, 7)] + [("D", n) for n in range(4, 7)]
+    for series, rank in systems:
+        for p in all_parabolics(build_root_system(series, rank)):
+            assert dominant_sum_check(p) == weight_dominant_sums(p), p
+    for rank in (6, 7, 8):
+        p = borel(build_root_system("E", rank))
+        assert dominant_sum_check(p) == weight_dominant_sums(p), p
 
 
 def test_verdict_rule():
