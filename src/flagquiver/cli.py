@@ -166,6 +166,8 @@ def _tangent_quiver(args, p):
 
 
 def cmd_quiver(args):
+    if args.level == "levi" and args.mode == quiver_mod.REDUCED:
+        raise ValueError("--mode reduced applies only to --level borel")
     rep = _tangent_quiver(args, _parabolic(args))
     q = rep.quiver
     if args.output == "dot":

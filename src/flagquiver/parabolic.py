@@ -24,15 +24,19 @@ class ParabolicData:
         self.levi_simple_indices = tuple(
             i for i in range(1, system.rank + 1) if i not in sigma
         )
-        levi_pos, nilrad = [], []
+        levi_pos, nilrad, degrees = [], [], []
         for r in system.positive_roots:
             exp = system.expansion(r)
-            if all(exp[i - 1] == 0 for i in sigma):
-                levi_pos.append(r)
-            else:
+            degree = tuple(exp[i - 1] for i in sigma)
+            if any(degree):
                 nilrad.append(r)
+                degrees.append(degree)
+            else:
+                levi_pos.append(r)
         self.levi_positive = tuple(levi_pos)
         self.nilradical_weights = tuple(nilrad)
+        # coefficients on the marked simple roots, aligned with the above
+        self.marked_degrees = tuple(degrees)
         self.tangent_weights = tuple(-r for r in nilrad)
 
     @property
@@ -44,28 +48,25 @@ class ParabolicData:
     def is_borel(self):
         return len(self.sigma) == self.system.rank
 
-    def sigma_degree(self, root):
-        """Total coefficient of a root over the marked simple roots."""
-        exp = self.system.expansion(root)
-        return sum(exp[i - 1] for i in self.sigma)
-
     @property
     def generator_weights(self):
         """Nilradical weights in marked degree one (weights of n/[n,n])."""
-        return tuple(r for r in self.nilradical_weights if self.sigma_degree(r) == 1)
+        pairs = zip(self.nilradical_weights, self.marked_degrees)
+        return tuple(r for r, degree in pairs if sum(degree) == 1)
 
     def __repr__(self):
         return f"ParabolicData({self.system.series}{self.system.rank}, sigma={self.sigma})"
 
 
 class LeviComponent:
-    """One Levi-irreducible summand of the tangent bundle."""
+    """One Levi-irreducible summand of the tangent bundle and its marked degree."""
 
-    __slots__ = ("weights", "highest_weight", "rank")
+    __slots__ = ("weights", "highest_weight", "degree", "rank")
 
-    def __init__(self, weights, highest_weight):
+    def __init__(self, weights, highest_weight, degree):
         self.weights = tuple(weights)
         self.highest_weight = highest_weight
+        self.degree = tuple(degree)
         self.rank = len(self.weights)
 
     def __repr__(self):
@@ -108,20 +109,19 @@ def _levi_weyl_dimension(p, highest):
 def levi_components(p):
     """Partition of the tangent weights into Levi-irreducible components.
 
-    Weights are grouped by their coefficients on the marked simple roots,
-    in order of first occurrence: each graded piece of the nilradical is
+    Weights are grouped by their marked degree (``p.marked_degrees``), in
+    order of first occurrence: each graded piece of the nilradical is
     Levi-irreducible (Azad-Barry-Seitz, *On the structure of parabolic
     subgroups*, 1990).  Each group is then verified to have a unique
     Levi-maximal weight whose Levi Weyl dimension matches the group size.
     Fails loudly otherwise.
     """
     groups = {}
-    for root, w in zip(p.nilradical_weights, p.tangent_weights):
-        exp = p.system.expansion(root)
-        groups.setdefault(tuple(exp[i - 1] for i in p.sigma), []).append(w)
+    for degree, w in zip(p.marked_degrees, p.tangent_weights):
+        groups.setdefault(degree, []).append(w)
 
     components = []
-    for members in groups.values():
+    for degree, members in groups.items():
         member_set = set(members)
         maximal = [
             w
@@ -138,5 +138,5 @@ def levi_components(p):
                 f"component of {top} has size {len(members)} but Weyl dimension "
                 f"{_levi_weyl_dimension(p, top)}"
             )
-        components.append(LeviComponent(members, top))
+        components.append(LeviComponent(members, top, degree))
     return tuple(components)

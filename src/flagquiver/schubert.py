@@ -164,9 +164,8 @@ def _expand_volume(p):
     steps = [base**pos for pos in range(k)]
     terms = {0: 1}
     heights = 1
-    for alpha in p.nilradical_weights:
-        exp = system.expansion(alpha)
-        form = [(steps[pos], exp[i - 1]) for pos, i in enumerate(p.sigma) if exp[i - 1]]
+    for alpha, degree in zip(p.nilradical_weights, p.marked_degrees):
+        form = [(step, m) for step, m in zip(steps, degree) if m]
         heights *= system.height(alpha)
         nxt = {}
         for packed, coeff in terms.items():

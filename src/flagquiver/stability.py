@@ -149,10 +149,7 @@ def degree_cone(p, budget=DEFAULT_BUDGET):
     """
     _check_budget(p, budget)
     trep = tangent_rep(p)
-    forms = []
-    for c in trep.components:
-        exp = p.system.expansion(-c.highest_weight)
-        forms.append(tuple(exp[i - 1] for i in p.sigma))
+    forms = [c.degree for c in trep.components]
     rows = tuple(
         tuple(
             c.rank * sum(map(mul, d, form))
@@ -205,8 +202,8 @@ class Surd:
             d += 1
         if r == 1:
             p, q, r = p + q, 0, 0
-        if q == 0:
-            r = 0
+        if q == 0 or r == 0:
+            q, r = 0, 0
         g = gcd(gcd(abs(p), abs(q)), s)
         if g > 1:
             p, q, s = p // g, q // g, s // g

@@ -17,8 +17,8 @@ class TangentRep(NamedTuple):
     """Tangent bundle data at both levels.
 
     ``rep`` lives on the Borel quiver with one vertex per tangent weight;
-    ``levi_rep`` has one vertex per Levi-irreducible component and encodes
-    which components are joined by the nilpotent action.  Its maps are the
+    ``levi_rep`` is its quotient by the Levi-irreducible components, with the
+    label of the first arrow joining each pair of them.  Its maps are the
     scalar 1 on every arrow: they only record which components are joined
     and need not satisfy the commutator relations, so ``levi_rep`` is not
     flat in general (A3/B is a counterexample).  It serves the closed
@@ -49,21 +49,17 @@ def tangent_rep(p):
         maps[k] = ((n,),)
     rep = QuiverRep(bq, (1,) * len(bq.vertices), maps)
 
+    # the quotient by the components: Borel arrows run in tangent order, then
+    # root order, and only nilradical labels change the marked degree
     comps = levi_components(p)
-    weight_to_comp = {}
-    for ci, comp in enumerate(comps):
-        for w in comp.weights:
-            weight_to_comp[w] = ci
-    arrows = []
-    seen = set()
-    for ci, comp in enumerate(comps):
-        for w in comp.weights:
-            for alpha in p.nilradical_weights:
-                cj = weight_to_comp.get(w + alpha)
-                if cj is not None and cj != ci and (ci, cj) not in seen:
-                    seen.add((ci, cj))
-                    arrows.append(Arrow(ci, cj, alpha))
-    arrows.sort(key=lambda a: (a.src, a.dst))
+    comp_index = {c.degree: ci for ci, c in enumerate(comps)}
+    comp_of = [comp_index[d] for d in p.marked_degrees]
+    first = {}
+    for a in bq.arrows:
+        ci, cj = comp_of[a.src], comp_of[a.dst]
+        if ci != cj:
+            first.setdefault((ci, cj), a.label)
+    arrows = [Arrow(ci, cj, label) for (ci, cj), label in sorted(first.items())]
     levi_quiver = InducedQuiver(
         tuple(c.highest_weight for c in comps), arrows, FULL, p
     )

@@ -107,6 +107,18 @@ def test_quiver_json_levi_level(capsys):
     assert all(set(v) == {"weight2", "fundamental", "dim"} for v in data["vertices"])
 
 
+def test_quiver_levi_level_rejects_reduced_mode(capsys):
+    base = ["quiver", "--series", "A", "--rank", "3", "--parabolic", "2",
+            "--level", "levi"]
+    code, out, err = run_cli(capsys, base + ["--mode", "reduced"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    # the Levi quiver keeps its one mode, so an explicit full is accepted
+    assert run_cli(capsys, base + ["--mode", "full"])[:2] == run_cli(capsys, base)[:2]
+
+
 def test_intersections_csv(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -5,6 +5,7 @@ from flagquiver import (
     borel,
     build_parabolic,
     build_root_system,
+    degree_cone,
     is_levi_dominant,
     levi_components,
 )
@@ -158,3 +159,34 @@ def test_components_are_the_levi_connected_parts(series, ranks):
         for p in all_parabolics(build_root_system(series, rank)):
             comps = levi_components(p)
             assert [list(c.weights) for c in comps] == _levi_connected_parts(p)
+
+
+def _grading_cases():
+    for rank in range(1, 7):
+        yield from all_parabolics(build_root_system("A", rank))
+    for rank in (4, 5, 6):
+        yield from all_parabolics(build_root_system("D", rank))
+    yield borel(build_root_system("E", 6))
+
+
+def _marked_coefficients(p, root):
+    exp = p.system.expansion(root)
+    return tuple(exp[i - 1] for i in p.sigma)
+
+
+def test_marked_degrees_match_the_root_expansions():
+    # the grading is computed once, in ParabolicData; every reader of it
+    # must see the coefficients an expansion gives
+    for p in _grading_cases():
+        expanded = tuple(_marked_coefficients(p, r) for r in p.nilradical_weights)
+        assert p.marked_degrees == expanded
+        assert p.generator_weights == tuple(
+            r for r, d in zip(p.nilradical_weights, expanded) if sum(d) == 1
+        )
+        comps = levi_components(p)
+        for c in comps:
+            for w in c.weights:
+                assert c.degree == _marked_coefficients(p, -w), (p, c)
+        assert degree_cone(p).forms == tuple(
+            _marked_coefficients(p, -c.highest_weight) for c in comps
+        ), p

@@ -79,7 +79,8 @@ def test_full_contains_reduced_and_labels_are_differences():
                 assert q.vertices[a.dst] - q.vertices[a.src] == a.label
         assert len(full_set) == len(full.arrows)  # no duplicate triples
         for a in reduced.arrows:
-            assert p.sigma_degree(a.label) == 1
+            exp = a3.expansion(a.label)
+            assert sum(exp[i - 1] for i in p.sigma) == 1
 
 
 def test_not_levi_dominant_vertex_rejected():

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -157,6 +158,19 @@ def test_surd_ordering_and_normalization():
     assert Surd(0, 1, 2, 1) < Surd(3, 0, 0, 2)         # sqrt(2) < 1.5
     assert Surd(2, 0, 0, 1).is_rational
     assert Surd(0, 3, 4, 1) == Surd(6, 0, 0, 1)        # 3*sqrt(4) = 6
+
+
+def test_surd_with_zero_radicand_is_rational():
+    # q*sqrt(0) vanishes, so the surd is the rational p/s
+    assert Surd(1, 1, 0, 1) == Surd(1, 0, 0, 1)
+    assert hash(Surd(1, 1, 0, 1)) == hash(Surd(1, 0, 0, 1))
+    assert Surd(3, -5, 0, 6).is_rational
+    assert Surd(3, -5, 0, 6).as_fraction() == Fraction(1, 2)
+    # -(b - a)^2 has a double root: the closed cone is the rational slope 1
+    double = IntPoly(2, {(2, 0): -1, (1, 1): 2, (0, 2): -1})
+    bounds = boundary_2d([ConeInequality((0,), double, True)])
+    assert bounds.lower == bounds.upper == Surd(1, 0, 0, 1)
+    assert bounds.has_rational_endpoint
 
 
 def test_sigma_character_identity_with_cone_polynomials():

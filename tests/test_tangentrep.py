@@ -99,6 +99,38 @@ def test_point_hyperplane_levi_rep_shape(n):
     assert center.weights == (-system.positive_roots[-1],)
 
 
+def _levi_arrows_by_weight_sums(p, comps):
+    """Levi arrows rebuilt from weight sums: the first nilradical label that
+    joins two components, scanning their weights in order."""
+    comp_of = {w: ci for ci, c in enumerate(comps) for w in c.weights}
+    first = {}
+    for ci, c in enumerate(comps):
+        for w in c.weights:
+            for alpha in p.nilradical_weights:
+                cj = comp_of.get(w + alpha)
+                if cj is not None and cj != ci:
+                    first.setdefault((ci, cj), alpha)
+    return sorted((ci, cj, alpha.coords2) for (ci, cj), alpha in first.items())
+
+
+def _quotient_cases():
+    for rank in range(1, 6):
+        yield from all_parabolics(build_root_system("A", rank))
+    for rank in (4, 5):
+        yield from all_parabolics(build_root_system("D", rank))
+    e6 = build_root_system("E", 6)
+    yield borel(e6)
+    yield build_parabolic(e6, [1, 6])
+    yield borel(build_root_system("E", 7))
+
+
+def test_levi_quiver_is_the_quotient_of_the_borel_quiver():
+    for p in _quotient_cases():
+        trep = tangent_rep(p)
+        arrows = [(a.src, a.dst, a.label.coords2) for a in trep.levi_rep.quiver.arrows]
+        assert arrows == _levi_arrows_by_weight_sums(p, trep.components), p
+
+
 def test_tangent_arrow_scalars_are_units(sweep_parabolics):
     for p in sweep_parabolics[:40]:
         rep = tangent_rep(p).rep
