@@ -8,9 +8,9 @@ from __future__ import annotations
 import argparse
 import errno
 import itertools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import quiver as quiver_mod
 from .errors import BudgetExceeded, FlagQuiverError
@@ -39,8 +39,52 @@ def _weight_json(w):
     return {"weight2": list(w.coords2), "fundamental": list(w.fundamental)}
 
 
+def _json(x, nl="\n"):
+    """``json.dumps(x, indent=2)``, each of its new lines starting with ``nl``.
+
+    The stdlib runs its pure-Python encoder whenever ``indent`` is set;
+    this writes the same bytes in one pass.  Dict keys must be strings,
+    and a type ``json.dumps`` would not write raises ``TypeError``.
+    """
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if abs(x) == float("inf"):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    inner = nl + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        if all(type(v) is int for v in x):
+            items = map(int.__repr__, x)
+        else:
+            items = [_json(v, inner) for v in x]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = []
+        for key, value in x.items():
+            if not isinstance(key, str):
+                raise TypeError(f"JSON key {key!r} is not a string")
+            items.append(encode_basestring_ascii(key) + ": " + _json(value, inner))
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _dumps(data):
-    return json.dumps(data, indent=2) + "\n"
+    return _json(data) + "\n"
 
 
 def _parse_parabolic(text, system, allow_all=False):
@@ -77,11 +121,24 @@ def _check_out(path):
 
 
 def _emit(args, text):
+    """Write a string, or an iterable of strings, to --out or stdout.
+
+    A reader that closes stdout early ends the output, with exit 0 and
+    nothing on stderr: stdout is pointed at devnull, so the flush at
+    interpreter exit has nowhere to fail.
+    """
+    chunks = [text] if isinstance(text, str) else text
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            fh.writelines(chunks)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def cmd_roots(args):
@@ -217,13 +274,25 @@ def cmd_intersections(args):
 
 def _inequality_json(ineq):
     return {
-        "subbundle": list(ineq.subbundle),
+        "subbundle": ineq.subbundle,
         "monomials": [
-            {"exps": list(e), "coeff": c}
-            for e, c in ineq.polynomial.sorted_items()
+            {"exps": e, "coeff": c} for e, c in ineq.polynomial.sorted_items()
         ],
         "strict": ineq.strict,
     }
+
+
+def _cone_chunks(inequalities, boundary):
+    """``_dumps({"inequalities": [...], "boundary": ...})``, one inequality a chunk."""
+    yield '{\n  "inequalities": ['
+    sep = "\n    "
+    for iq in inequalities:
+        yield sep + _json(_inequality_json(iq), "\n    ")
+        sep = ",\n    "
+    yield "\n  ]" if inequalities else "]"
+    if boundary is not None:
+        yield ',\n  "boundary": ' + _json(boundary, "\n  ")
+    yield "\n}\n"
 
 
 def cmd_cone(args):
@@ -264,15 +333,15 @@ def cmd_cone(args):
         _emit(args, "\n".join(lines) + "\n")
         return EXIT_OK
     inequalities = stability_cone(p, args.budget)
-    data = {"inequalities": [_inequality_json(iq) for iq in inequalities]}
+    boundary = None
     if args.boundary:
         bounds = boundary_2d(inequalities)
-        data["boundary"] = {
+        boundary = {
             "lower": _surd_json(bounds.lower),
             "upper": _surd_json(bounds.upper),
             "rational_endpoint": bounds.has_rational_endpoint,
         }
-    _emit(args, _dumps(data))
+    _emit(args, _cone_chunks(inequalities, boundary))
     return EXIT_OK
 
 

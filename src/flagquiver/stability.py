@@ -350,21 +350,35 @@ def boundary_2d(inequalities):
     return Boundary2D(lower, upper)
 
 
-def sigma_from_polarization(rep, p, polarization, budget=DEFAULT_BUDGET):
-    """Integer character induced by an ample class on the Levi-level rep."""
-    h = _ample(polarization)
+def _character_data(rep, p, budget):
+    """What ``sigma_from_polarization`` needs of ``p``, for any polarization.
+
+    The slope gap of each rep vertex's Levi component, and the
+    intersection polynomials (H_i . H^(dim-1))_i.
+    """
     comps = levi_components(p)
     by_top = {c.highest_weight: ci for ci, c in enumerate(comps)}
     order = [by_top.get(w) for w in rep.quiver.vertices]
     if None in order:
         raise ValueError("rep vertices do not match the Levi components")
     qpolys = intersection_polynomial(p, p.dim - 1, budget)
-    qvals = [qpolys[pos].evaluate(h) for pos in range(len(p.sigma))]
     gaps = _slope_gaps(p, comps)
-    values = [-sum(g * v for g, v in zip(gaps[ci], qvals)) for ci in order]
-    if sum(v * d for v, d in zip(values, rep.dims)) != 0:
+    return [gaps[ci] for ci in order], [qpolys[pos] for pos in range(len(p.sigma))]
+
+
+def _character(rep, data, h):
+    vertex_gaps, qpolys = data
+    qvals = [q.evaluate(h) for q in qpolys]
+    values = [-sum(map(mul, gap, qvals)) for gap in vertex_gaps]
+    if sum(map(mul, values, rep.dims)) != 0:
         raise RuntimeError("character does not annihilate the dimension vector")
     return SigmaCharacter(tuple(values), h)
+
+
+def sigma_from_polarization(rep, p, polarization, budget=DEFAULT_BUDGET):
+    """Integer character induced by an ample class on the Levi-level rep."""
+    h = _ample(polarization)
+    return _character(rep, _character_data(rep, p, budget), h)
 
 
 class KingVerdict(NamedTuple):
@@ -380,9 +394,12 @@ def is_sigma_semistable(rep, sigma):
     verdict is an exhaustive check; the witness is the first violating
     (or slope-zero) proper subset in canonical order.
     """
+    return _king(rep, closed_subsets(rep, reduce=False), sigma)
+
+
+def _king(rep, subsets, sigma):
     values = sigma.values
     total = sum(v * d for v, d in zip(values, rep.dims))
-    subsets = closed_subsets(rep, reduce=False)
     if total != 0:
         return KingVerdict(False, False, None)
     for s in subsets:
@@ -410,13 +427,14 @@ def equivalence_check(p, polarization_grid, budget=DEFAULT_BUDGET):
     disagreement; agreement everywhere is the expected outcome.
     """
     cone = degree_cone(p, budget)
-    trep = tangent_rep(p)
+    rep = tangent_rep(p).levi_rep
+    data = _character_data(rep, p, budget)
+    subsets = closed_subsets(rep, reduce=False)
     entries = []
     disagreements = []
     for h in polarization_grid:
-        h = tuple(int(x) for x in h)
-        sigma = sigma_from_polarization(trep.levi_rep, p, h, budget)
-        king = is_sigma_semistable(trep.levi_rep, sigma)
+        h = _ample(h)
+        king = _king(rep, subsets, _character(rep, data, h))
         verdict = degree_membership(cone, h)
         entries.append((h, king.semistable, king.stable, verdict))
         if king.semistable != (verdict != UNSTABLE) or king.stable != (

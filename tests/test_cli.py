@@ -1,7 +1,14 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagquiver import (
     REDUCED,
@@ -39,13 +46,84 @@ def test_non_ade_is_invalid_input(capsys):
     assert "error" in err
 
 
-def test_json_outputs_round_trip_and_are_deterministic(capsys):
-    args = ["cone", "--series", "A", "--rank", "2", "--parabolic", "1,2", "--boundary"]
-    code1, out1, _ = run_cli(capsys, args)
-    code2, out2, _ = run_cli(capsys, args)
-    assert code1 == code2 == 0
-    assert out1 == out2
-    assert json.dumps(json.loads(out1), indent=2) + "\n" == out1
+def _cone_golden_inputs():
+    """``cone`` on every parabolic of A2-A4 and D4 (some, such as D4{1},
+    have an empty cone), and the two-marked ``--boundary`` cases that
+    have a closed-form boundary."""
+    for series, rank in (("A", 2), ("A", 3), ("A", 4), ("D", 4)):
+        marks = range(1, rank + 1)
+        for size in marks:
+            for sigma in itertools.combinations(marks, size):
+                yield ["cone", "--series", series, "--rank", str(rank),
+                       "--parabolic", ",".join(map(str, sigma))]
+    for rank, sigma in ((2, "1,2"), (3, "1,3"), (4, "1,4")):
+        yield ["cone", "--series", "A", "--rank", str(rank), "--parabolic", sigma,
+               "--boundary"]
+
+
+def test_json_outputs_round_trip_and_are_deterministic(capsys, tmp_path):
+    target = tmp_path / "cone.json"
+    for args in _cone_golden_inputs():
+        code1, out1, _ = run_cli(capsys, args)
+        code2, out2, _ = run_cli(capsys, args)
+        assert code1 == code2 == 0, args
+        assert out1 == out2, args
+        assert json.dumps(json.loads(out1), indent=2) + "\n" == out1, args
+        assert run_cli(capsys, args + ["--out", str(target)]) == (0, "", "")
+        assert target.read_bytes() == out1.encode(), args
+    empty = ["cone", "--series", "D", "--rank", "4", "--parabolic", "1"]
+    assert run_cli(capsys, empty)[1] == '{\n  "inequalities": []\n}\n'
+
+
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200).map(lambda n: -n)
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, float("inf"), -float("inf"), float("nan")])
+    | st.text()
+    | st.sampled_from(['"', "\\", "\x00\x1f\n\t\x7f", "\u00e9\u2603\U0001f600", "a\"b\\c"])
+)
+_json_trees = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_json_trees)
+def test_json_emitter_matches_stdlib_indent_encoder(tree):
+    assert cli._dumps(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("bad", [{1, 2}, Fraction(1, 3), [1, {2}], {"x": Fraction(1)}])
+def test_json_emitter_refuses_what_json_cannot_write(bad):
+    with pytest.raises(TypeError):
+        cli._dumps(bad)
+
+
+def test_closed_stdout_ends_the_output_quietly():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # the output (about 200 kB) is larger than a pipe holds, so the writer
+    # is still writing when the reader goes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flagquiver.cli", "cone", "--series", "A",
+         "--rank", "4", "--parabolic", "borel"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(16) == b'{\n  "inequalitie'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert err == b""
 
 
 def test_simplicity_borel(capsys):
