@@ -3,9 +3,13 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import ModeMismatch, NotLeviDominant, UnsupportedParabolic
+from .errors import (
+    MismatchedSystem,
+    ModeMismatch,
+    NotLeviDominant,
+    UnsupportedParabolic,
+)
 from .parabolic import is_levi_dominant
-from .rootsys import chevalley_constant
 
 FULL = "full"
 REDUCED = "reduced"
@@ -78,23 +82,43 @@ def induced_quiver(p, vertex_weights, mode=FULL):
 
     FULL mode uses every nilradical weight as a possible arrow label;
     REDUCED mode only the marked-degree-one generators.
+
+    Arrows are found on packed integers.  With ``top`` the largest absolute
+    coordinate among the vertices and labels, a weight packs to the integer
+    whose digits in base ``4 * top + 1`` are its coordinates, each digit
+    taken in ``[-2 * top, 2 * top]``.  Such balanced digits are unique, so
+    the packing is injective on that box, and it is additive.  A vertex plus
+    a label has coordinates in the box, so it packs to a vertex's integer
+    exactly when it equals that vertex.
     """
     if mode not in (FULL, REDUCED):
         raise ValueError(f"unknown mode {mode!r}")
     vertices = tuple(vertex_weights)
-    seen = set()
-    for w in vertices:
-        if w in seen:
+    labels = p.nilradical_weights if mode == FULL else p.generator_weights
+    top = max((abs(c) for w in vertices + labels for c in w.coords2), default=0)
+    base = 4 * top + 1
+
+    def pack(w):
+        code = 0
+        for c in w.coords2:
+            code = code * base + c
+        return code
+
+    index = {}
+    for i, w in enumerate(vertices):
+        if w.system is not p.system:
+            raise MismatchedSystem("weights belong to different root systems")
+        code = pack(w)
+        if code in index:
             raise ValueError(f"duplicate vertex weight {w}")
-        seen.add(w)
         if not is_levi_dominant(w, p):
             raise NotLeviDominant(f"{w} is not Levi-dominant for sigma={p.sigma}")
-    labels = p.nilradical_weights if mode == FULL else p.generator_weights
-    index = {w: i for i, w in enumerate(vertices)}
+        index[code] = i
+    steps = [(pack(a), a) for a in labels]
     arrows = []
-    for i, w in enumerate(vertices):
-        for a in labels:
-            j = index.get(w + a)
+    for code, i in index.items():
+        for step, a in steps:
+            j = index.get(code + step)
             if j is not None:
                 arrows.append(Arrow(i, j, a))
     return InducedQuiver(vertices, arrows, mode, p)
@@ -115,35 +139,53 @@ class RelationInstance(NamedTuple):
 def _relations(q, sources):
     """Relations at the given sources with at least one term in the quiver.
 
-    Each nilradical pair is listed once, with its sum and Chevalley
-    constant precomputed, under every label that can give it a term:
-    alpha, beta and, when the bracket is nonzero, alpha + beta.  A source
-    only visits the pairs listed under its outgoing labels, in pair order.
+    Labels are positive-root indices, and only nilradical pairs count.  A
+    source's pairs are read off its terms: each two-step path ``alpha``
+    then ``beta`` gives the pair of its labels, and each arrow gives the
+    pairs whose nonzero bracket it carries (from the root system's pair
+    table).  They are visited in pair order, and their sum and Chevalley
+    constant come from the same table.
     """
-    nil = q.parabolic.nilradical_weights
-    pairs = []
-    by_label = {}
-    for ia, alpha in enumerate(nil):
-        for beta in nil[ia + 1:]:
-            s = alpha + beta
-            n = chevalley_constant(alpha, beta) if s.is_root else 0
-            for label in (alpha.coords2, beta.coords2) + ((s.coords2,) if n else ()):
-                by_label.setdefault(label, []).append(len(pairs))
-            pairs.append((alpha, beta, s.coords2, n))
-
-    def path(k1, second):
-        k2 = None if k1 is None else q.arrow_index(q.arrows[k1].dst, second.coords2)
-        return None if k2 is None else (k1, k2)
+    system = q.parabolic.system
+    tables = system._root_tables()
+    nil = {tables.index[a.coords2] for a in q.parabolic.nilradical_weights}
+    brackets = {}
+    for (i, j), (s, _) in tables.sums.items():
+        if i in nil and j in nil:
+            brackets.setdefault(s, []).append((i, j))
+    # the arrows leaving each vertex, and each arrow's target, by label
+    out = [{} for _ in q.vertices]
+    for k, a in enumerate(q.arrows):
+        label = tables.index.get(a.label.coords2)
+        if label in nil:
+            out[a.src][label] = k
+    out_of = [out[a.dst] for a in q.arrows]
+    roots = system.positive_roots
 
     for src in sources:
-        out = q.out_by_label.get(src, {})
-        for i in sorted(set().union(*(by_label.get(label, ()) for label in out))):
-            alpha, beta, sum_coords, n = pairs[i]
-            ka, kb = out.get(alpha.coords2), out.get(beta.coords2)
-            bracket = out.get(sum_coords) if n else None
-            path_a, path_b = path(ka, beta), path(kb, alpha)
-            if path_a or path_b or bracket is not None:
-                yield RelationInstance(src, alpha, beta, n, path_a, path_b, bracket)
+        here = out[src]
+        pairs = set()
+        for first, k in here.items():
+            pairs.update(brackets.get(first, ()))
+            pairs.update(
+                (first, second) if first < second else (second, first)
+                for second in out_of[k]
+                if second != first
+            )
+        for i, j in sorted(pairs):
+            ka, kb = here.get(i), here.get(j)
+            s, n = tables.sums.get((i, j), (None, 0))
+            path_a = None if ka is None else out_of[ka].get(j)
+            path_b = None if kb is None else out_of[kb].get(i)
+            yield RelationInstance(
+                src,
+                roots[i],
+                roots[j],
+                n,
+                None if path_a is None else (ka, path_a),
+                None if path_b is None else (kb, path_b),
+                here.get(s) if n else None,
+            )
 
 
 def relation_instances(q):

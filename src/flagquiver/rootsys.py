@@ -8,6 +8,8 @@ and cached per (series, rank).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, ge
+from typing import NamedTuple
 
 from .errors import MismatchedSystem, OppositeRoots, UnsupportedType
 
@@ -130,6 +132,13 @@ class RootSystemData:
             for k, c in enumerate(r.coords2):
                 two_rho[k] += c
         self.rho = Weight(tuple(c // 2 for c in two_rho), self)
+        self._tables = None
+
+    def _root_tables(self):
+        """The positive-root pair tables, built on first use."""
+        if self._tables is None:
+            self._tables = _build_root_tables(self)
+        return self._tables
 
     def _enumerate_positive_roots(self):
         simples = [w.coords2 for w in self.simple_roots]
@@ -203,6 +212,41 @@ def _simple_coords(series, rank, ambient):
             c[i], c[i + 1] = -2, 2
             coords.append(tuple(c))
     return coords
+
+
+class _RootTables(NamedTuple):
+    """Integer tables over the positive roots, indexed in their order.
+
+    ``index`` maps doubled coordinates to the index.  ``sums`` maps each
+    pair ``(i, j)`` with ``i < j`` whose sum is a root to ``(s, n)``: the
+    index ``s`` of ``alpha_i + alpha_j`` and their Chevalley constant ``n``;
+    every other pair has no bracket.  ``dominant_pairs`` lists the
+    ``(i, j)`` with ``alpha_i - alpha_j`` dominant.
+    """
+
+    index: dict
+    sums: dict
+    dominant_pairs: tuple
+
+
+def _build_root_tables(system):
+    roots = system.positive_roots
+    index = {r.coords2: i for i, r in enumerate(roots)}
+    sums = {}
+    for i, alpha in enumerate(roots):
+        for j in range(i + 1, len(roots)):
+            beta = roots[j]
+            s = index.get(tuple(map(add, alpha.coords2, beta.coords2)))
+            if s is not None:
+                sums[i, j] = (s, chevalley_constant(alpha, beta))
+    pairings = [r.fundamental for r in roots]
+    dominant = tuple(
+        (i, j)
+        for i, fi in enumerate(pairings)
+        for j, fj in enumerate(pairings)
+        if all(map(ge, fi, fj))
+    )
+    return _RootTables(index, sums, dominant)
 
 
 _SYSTEM_CACHE = {}

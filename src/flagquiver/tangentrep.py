@@ -6,7 +6,6 @@ from typing import NamedTuple
 from .errors import NotMultiplicityFree
 from .parabolic import borel, levi_components
 from .quiver import FULL, Arrow, InducedQuiver, QuiverRep, induced_quiver
-from .rootsys import chevalley_constant
 
 VERDICT_SIMPLE = "SIMPLE"
 VERDICT_WEAKLY_SIMPLE_ONLY = "WEAKLY_SIMPLE_ONLY"
@@ -42,11 +41,18 @@ class SimplicityReport(NamedTuple):
 def tangent_rep(p):
     """Quiver representation of the (pulled-back) tangent bundle of G/P."""
     system = p.system
+    tables = system._root_tables()
     bq = induced_quiver(borel(system), p.tangent_weights, FULL)
+    # An arrow with label alpha_a runs from -alpha_j to -alpha_b, where
+    # alpha_j = alpha_a + alpha_b.  Its scalar N(alpha_a, -alpha_j) is
+    # -N(alpha_a, alpha_b): the sign function is bimultiplicative, depends
+    # on a root only mod 2, and is -1 on (alpha, alpha).
+    root_of = [tables.index[r.coords2] for r in p.nilradical_weights]
     maps = {}
-    for k, a in enumerate(bq.arrows):
-        n = chevalley_constant(a.label, bq.vertices[a.src])
-        maps[k] = ((n,),)
+    for k, arrow in enumerate(bq.arrows):
+        a, b = tables.index[arrow.label.coords2], root_of[arrow.dst]
+        n = tables.sums[a, b][1] if a < b else -tables.sums[b, a][1]
+        maps[k] = ((-n,),)
     rep = QuiverRep(bq, (1,) * len(bq.vertices), maps)
 
     # the quotient by the components: Borel arrows run in tangent order, then
@@ -73,7 +79,7 @@ def structure_report(rep):
     """(multiplicity free, number of connected components) of the support."""
     multiplicity_free = all(rep.dims[i] == 1 for i in rep.support)
     succ = _nonzero_successors(rep)
-    nbrs = _neighbour_masks(succ, list(succ))
+    nbrs = _neighbour_masks(succ)
     rest = (1 << len(nbrs)) - 1
     components = 0
     while rest:
@@ -102,10 +108,10 @@ def _nonzero_successors(rep):
     return succ
 
 
-def _neighbour_masks(succ, order):
-    """Undirected adjacency of a successor map, as bitmasks over ``order``."""
-    pos = {v: i for i, v in enumerate(order)}
-    nbrs = [0] * len(order)
+def _neighbour_masks(succ):
+    """Undirected adjacency of a successor map, as bitmasks over its keys."""
+    pos = {v: i for i, v in enumerate(succ)}
+    nbrs = [0] * len(succ)
     for v, ws in succ.items():
         for w in ws:
             nbrs[pos[v]] |= 1 << pos[w]
@@ -159,6 +165,11 @@ def closed_subsets(rep, reduce=False):
     ``reach[v] & inside``, the descendants of v among the candidates.
     Dropping a source or a successor-closed part keeps every path between
     the remaining candidates inside them, so that is the closure of v.
+
+    A closed set is the union of ``reach[v]`` over the vertices v it was
+    split on, and each of those masks is connected.  An arrow from one mask
+    ends in both, so the set is connected iff the masks chain by
+    intersection: the walk merges each new mask with the parts it meets.
     """
     if any(rep.dims[v] != 1 for v in rep.support):
         raise NotMultiplicityFree("closed subsets require all dims equal to 1")
@@ -172,19 +183,27 @@ def closed_subsets(rep, reduce=False):
             reach[i] |= reach[pos[w]]
     full = (1 << len(order)) - 1
     sets = []
-    stack = [(full, 0)]
+    # parts: the reach masks of the chosen sources, merged where they meet
+    stack = [(full, 0, ())]
     while stack:
-        inside, chosen = stack.pop()
+        inside, chosen, parts = stack.pop()
         if not inside:
-            if chosen and chosen != full:
+            if chosen and chosen != full and (not reduce or len(parts) == 1):
                 sets.append(chosen)
             continue
-        closure = reach[(inside & -inside).bit_length() - 1] & inside
-        stack.append((inside ^ closure, chosen | closure))
-        stack.append((inside & (inside - 1), chosen))
-    if reduce:
-        nbrs = _neighbour_masks(succ, order)
-        sets = [s for s in sets if _component(s & -s, s, nbrs) == s]
+        v = (inside & -inside).bit_length() - 1
+        closure = reach[v] & inside
+        merged = parts
+        if reduce:
+            joined, merged = reach[v], []
+            for part in parts:
+                if part & joined:
+                    joined |= part
+                else:
+                    merged.append(part)
+            merged.append(joined)
+        stack.append((inside ^ closure, chosen | closure, merged))
+        stack.append((inside & (inside - 1), chosen, parts))
     # the vertices of every value of each 4-bit nibble of a mask
     nibbles = []
     for k in range(0, len(order), 4):
@@ -208,17 +227,20 @@ def dominant_sum_check(p):
 
     The simplicity argument needs this set to be exactly {0}: the only
     dominant summand of End of the graded tangent bundle is the trivial
-    one.  Coroot pairings are additive, so a sum is dominant when the
-    pairings of its two terms add up to nonnegative integers.
+    one.  Each sum is alpha_i - alpha_j for nilradical roots alpha_i and
+    alpha_j, so the set is read off the root system's table of the pairs
+    with alpha_i - alpha_j dominant (``dominant_pairs`` of
+    ``RootSystemData._root_tables``), filtered by nilradical membership.
+    A nonzero dominant element of the root lattice lies above the highest
+    root (Stembridge, *The partial order of dominant weights*, 1998), so
+    that table is the diagonal and the set is {0}.
     """
-    tangent = [(b, b.fundamental) for b in p.tangent_weights]
-    out = set()
-    for a in p.nilradical_weights:
-        fa = a.fundamental
-        for b, fb in tangent:
-            if all(x + y >= 0 for x, y in zip(fa, fb)):
-                out.add(a + b)
-    return frozenset(out)
+    tables = p.system._root_tables()
+    nil = {tables.index[a.coords2] for a in p.nilradical_weights}
+    roots = p.system.positive_roots
+    return frozenset(
+        roots[i] - roots[j] for i, j in tables.dominant_pairs if i in nil and j in nil
+    )
 
 
 def verdict_for(multiplicity_free, components, dominant_sums, zero_weight):
@@ -232,14 +254,10 @@ def verdict_for(multiplicity_free, components, dominant_sums, zero_weight):
 def simplicity_report(p):
     """Run every simplicity check for the tangent bundle of G/P."""
     trep = tangent_rep(p)
-    multiplicity_free, components = structure_report(trep.rep)
+    # raises unless multiplicity free; one scalar per connected component
     hom_dim = hom_dimension(trep.rep)
     sums = dominant_sum_check(p)
     zero = p.system.weight((0,) * p.system.ambient_dim)
     return SimplicityReport(
-        multiplicity_free,
-        components,
-        hom_dim,
-        sums,
-        verdict_for(multiplicity_free, components, sums, zero),
+        True, hom_dim, hom_dim, sums, verdict_for(True, hom_dim, sums, zero)
     )

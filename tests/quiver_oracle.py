@@ -1,0 +1,131 @@
+"""Weight-arithmetic routes for the tangent quiver: the independent oracle.
+
+The library finds arrows on packed integers, reads relation pairs, arrow
+scalars and dominant sums from the root system's pair tables, and decides
+the connectivity of closed subsets inside their walk.  These are the
+direct loops over ``Weight`` objects that the tables replaced; the tests
+compare the two exactly.
+"""
+from flagquiver import FULL, QuiverRep, RelationInstance, chevalley_constant
+
+
+def arrows(p, vertex_weights, mode=FULL):
+    """``(src, dst, label)`` of every arrow, by one addition per pair."""
+    labels = p.nilradical_weights if mode == FULL else p.generator_weights
+    index = {w: i for i, w in enumerate(vertex_weights)}
+    out = []
+    for i, w in enumerate(vertex_weights):
+        for a in labels:
+            j = index.get(w + a)
+            if j is not None:
+                out.append((i, j, a))
+    return out
+
+
+def tangent_maps(q):
+    """The scalar of each arrow of a tangent quiver: N(label, source)."""
+    return {
+        k: ((chevalley_constant(a.label, q.vertices[a.src]),),)
+        for k, a in enumerate(q.arrows)
+    }
+
+
+def relations(q, sources):
+    """Relations at the sources, by Weight sums of the nilradical pairs.
+
+    Each pair is listed under every label that can give it a term; a
+    source visits the pairs listed under its outgoing labels, in order.
+    """
+    nil = q.parabolic.nilradical_weights
+    pairs = []
+    by_label = {}
+    for ia, alpha in enumerate(nil):
+        for beta in nil[ia + 1:]:
+            s = alpha + beta
+            n = chevalley_constant(alpha, beta) if s.is_root else 0
+            for label in (alpha.coords2, beta.coords2) + ((s.coords2,) if n else ()):
+                by_label.setdefault(label, []).append(len(pairs))
+            pairs.append((alpha, beta, s.coords2, n))
+
+    def path(k1, second):
+        k2 = None if k1 is None else q.arrow_index(q.arrows[k1].dst, second.coords2)
+        return None if k2 is None else (k1, k2)
+
+    out = []
+    for src in sources:
+        here = q.out_by_label.get(src, {})
+        for i in sorted(set().union(*(by_label.get(label, ()) for label in here))):
+            alpha, beta, sum_coords, n = pairs[i]
+            ka, kb = here.get(alpha.coords2), here.get(beta.coords2)
+            bracket = here.get(sum_coords) if n else None
+            path_a, path_b = path(ka, beta), path(kb, alpha)
+            if path_a or path_b or bracket is not None:
+                out.append(RelationInstance(src, alpha, beta, n, path_a, path_b, bracket))
+    return out
+
+
+def flatness(rep, rels):
+    """``(ok, violation)`` of a rep with one-dimensional vertices.
+
+    ``rels`` are the relations of ``rep.quiver`` at every vertex.
+    """
+    q = rep.quiver
+    support = set(rep.support)
+
+    def scalar(k):
+        m = rep.maps.get(k)
+        return 0 if m is None else m[0][0]
+
+    def composite(path):
+        return 0 if path is None else scalar(path[0]) * scalar(path[1])
+
+    for r in rels:
+        if r.source not in support:
+            continue
+        value = (
+            composite(r.path_via_beta)
+            - composite(r.path_via_alpha)
+            - (0 if r.bracket_arrow is None else r.chevalley * scalar(r.bracket_arrow))
+        )
+        if value:
+            return (False, (q.vertices[r.source], r.alpha, r.beta))
+    return (True, None)
+
+
+def dominant_sums(p):
+    """Dominant sums of one nilradical and one tangent weight, pair by pair."""
+    tangent = [(b, b.fundamental) for b in p.tangent_weights]
+    out = set()
+    for a in p.nilradical_weights:
+        fa = a.fundamental
+        for b, fb in tangent:
+            if all(x + y >= 0 for x, y in zip(fa, fb)):
+                out.add(a + b)
+    return frozenset(out)
+
+
+def connected_sets(rep, sets):
+    """The vertex sets whose induced graph along nonzero arrows is connected."""
+    nbrs = {v: set() for v in rep.support}
+    for k, a in enumerate(rep.quiver.arrows):
+        if a.src in nbrs and a.dst in nbrs and rep.map_is_nonzero(k):
+            nbrs[a.src].add(a.dst)
+            nbrs[a.dst].add(a.src)
+    out = []
+    for s in sets:
+        members = set(s)
+        seen, todo = {s[0]}, [s[0]]
+        while todo:
+            for w in nbrs[todo.pop()] & members - seen:
+                seen.add(w)
+                todo.append(w)
+        if seen == members:
+            out.append(s)
+    return out
+
+
+def with_flipped_map(rep, k):
+    """The rep with the scalar of arrow k negated."""
+    maps = dict(rep.maps)
+    maps[k] = ((-maps[k][0][0],),)
+    return QuiverRep(rep.quiver, rep.dims, maps)

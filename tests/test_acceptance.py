@@ -133,6 +133,22 @@ def test_criterion_4_simplicity_suite(sweep_parabolics):
            f"{count} parabolics (A1..A5 all, D4/D5 all, E6/E7/E8 Borel) all SIMPLE")
 
 
+def test_criterion_4_every_parabolic_of_a6_d6_e6_is_simple():
+    t0 = time.monotonic()
+    count = 0
+    for series, rank in (("A", 6), ("D", 6), ("E", 6)):
+        system = build_root_system(series, rank)
+        zero = system.weight((0,) * system.ambient_dim)
+        for size in range(1, rank + 1):
+            for sigma in itertools.combinations(range(1, rank + 1), size):
+                rep = simplicity_report(build_parabolic(system, sigma))
+                assert rep.verdict == VERDICT_SIMPLE, (series, rank, sigma, rep)
+                assert rep.dominant_sums == frozenset({zero})
+                count += 1
+    report(4, time.monotonic() - t0, 60,
+           f"{count} parabolics (A6, D6, E6 all) SIMPLE with dominant sums {{0}}")
+
+
 NONCONVEXITY_FIXTURE = ((5, 8, 5), (6, 8, 9))  # frozen from the grid search
 
 

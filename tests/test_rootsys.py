@@ -149,6 +149,38 @@ def test_chevalley_opposite_roots():
         chevalley_constant(a2.simple_root(1), -a2.simple_root(1))
 
 
+@pytest.mark.parametrize("series,rank", ALL_SYSTEMS)
+def test_dominant_pair_table_is_the_diagonal(series, rank):
+    # a nonzero dominant element of the root lattice lies above the highest
+    # root (Stembridge 1998), so no other difference of positive roots is
+    # dominant
+    system = build_root_system(series, rank)
+    roots = system.positive_roots
+    diagonal = tuple((i, i) for i in range(len(roots)))
+    assert system._root_tables().dominant_pairs == diagonal
+    assert diagonal == tuple(
+        (i, j)
+        for i, a in enumerate(roots)
+        for j, b in enumerate(roots)
+        if is_dominant(a - b)
+    )
+
+
+@pytest.mark.parametrize("series,rank", ALL_SYSTEMS)
+def test_root_sum_table_matches_weight_arithmetic(series, rank):
+    system = build_root_system(series, rank)
+    tables = system._root_tables()
+    roots = system.positive_roots
+    assert tables.index == {r.coords2: i for i, r in enumerate(roots)}
+    expected = {}
+    for i, j in combinations(range(len(roots)), 2):
+        s = roots[i] + roots[j]
+        if s.is_root:
+            expected[i, j] = (roots.index(s), chevalley_constant(roots[i], roots[j]))
+    assert tables.sums == expected
+    assert list(tables.sums) == sorted(tables.sums)
+
+
 @pytest.mark.parametrize("series,rank", [("A", 3), ("D", 4)])
 def test_chevalley_pairs_exhaustive(series, rank):
     system = build_root_system(series, rank)
