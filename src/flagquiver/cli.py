@@ -33,6 +33,9 @@ EXIT_NOT_SIMPLE = 3
 EXIT_BUDGET = 4
 
 ALL_PARABOLICS_MAX_RANK = 6
+# Bounds the work of rank-driven commands (roots, Borel quivers); a rank in
+# the millions would not even fit its root system in memory.
+MAX_RANK = 24
 
 
 def _weight_json(w):
@@ -272,22 +275,33 @@ def cmd_intersections(args):
     return EXIT_OK
 
 
-def _inequality_json(ineq):
-    return {
-        "subbundle": ineq.subbundle,
-        "monomials": [
-            {"exps": e, "coeff": c} for e, c in ineq.polynomial.sorted_items()
-        ],
-        "strict": ineq.strict,
-    }
+def _cone_chunks(inequalities, boundary, k):
+    """``_dumps({"inequalities": [...], "boundary": ...})``, one inequality a chunk.
 
-
-def _cone_chunks(inequalities, boundary):
-    """``_dumps({"inequalities": [...], "boundary": ...})``, one inequality a chunk."""
+    An inequality is ``{"subbundle": [...], "monomials": [{"exps": [...],
+    "coeff": c}, ...], "strict": ...}``.  Each monomial of a ``k``-variable
+    cone is written with one ``%`` template that holds its exact layout.
+    """
+    monomial = (
+        '{\n          "exps": [\n            '
+        + ",\n            ".join(["%d"] * k)
+        + '\n          ],\n          "coeff": %d\n        }'
+    )
     yield '{\n  "inequalities": ['
     sep = "\n    "
     for iq in inequalities:
-        yield sep + _json(_inequality_json(iq), "\n    ")
+        monomials = [monomial % (e + (c,)) for e, c in iq.polynomial.sorted_items()]
+        yield (
+            sep
+            + '{\n      "subbundle": '
+            + _json(iq.subbundle, "\n      ")
+            + ',\n      "monomials": '
+            + ("[\n        " + ",\n        ".join(monomials) + "\n      ]"
+               if monomials else "[]")
+            + ',\n      "strict": '
+            + _json(iq.strict)
+            + "\n    }"
+        )
         sep = ",\n    "
     yield "\n  ]" if inequalities else "]"
     if boundary is not None:
@@ -341,7 +355,7 @@ def cmd_cone(args):
             "upper": _surd_json(bounds.upper),
             "rational_endpoint": bounds.has_rational_endpoint,
         }
-    _emit(args, _cone_chunks(inequalities, boundary))
+    _emit(args, _cone_chunks(inequalities, boundary, len(p.sigma)))
     return EXIT_OK
 
 
@@ -451,6 +465,8 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
+        if args.rank > MAX_RANK:
+            raise ValueError(f"--rank is capped at {MAX_RANK}")
         if args.out:
             _check_out(args.out)
         return args.func(args)

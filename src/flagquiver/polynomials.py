@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from math import gcd
+from operator import sub
 
 
 class IntPoly:
@@ -49,23 +50,30 @@ class IntPoly:
             total += v
         return total
 
+    @classmethod
+    def _from_terms(cls, nvars, terms):
+        """Wrap a dict of nonzero integer terms of the right arity, unchecked."""
+        out = cls.__new__(cls)
+        out.nvars = nvars
+        out.terms = terms
+        return out
+
     def normalized(self):
         """Divide out the common monomial and the integer content.
 
         The common monomial is positive wherever every variable is, so for
         inequalities on the ample cone this preserves the sign.
         """
-        if self.is_zero:
+        terms = self.terms
+        if not terms:
             return self
-        shift = [min(e[i] for e in self.terms) for i in range(self.nvars)]
-        content = 0
-        for c in self.terms.values():
-            content = gcd(content, c)
-        terms = {
-            tuple(e - s for e, s in zip(exps, shift)): c // content
-            for exps, c in self.terms.items()
-        }
-        return IntPoly(self.nvars, terms)
+        content = gcd(*terms.values())
+        shift = [min(col) for col in zip(*terms)]
+        if any(shift):
+            terms = {tuple(map(sub, exps, shift)): c for exps, c in terms.items()}
+        if content > 1:
+            terms = {exps: c // content for exps, c in terms.items()}
+        return IntPoly._from_terms(self.nvars, terms)
 
     def sorted_items(self):
         return sorted(self.terms.items())

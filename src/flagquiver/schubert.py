@@ -127,6 +127,9 @@ def minimal_coset_reps(p, up_to_length, budget=DEFAULT_BUDGET):
     return out
 
 
+# The volume polynomials of the last few parabolics asked for; the oldest
+# entry is dropped first, so a sweep over many parabolics holds no more.
+_VOLUME_CACHE_SIZE = 8
 _VOLUME_CACHE = {}
 
 
@@ -151,6 +154,8 @@ def volume_polynomial(p, budget=DEFAULT_BUDGET):
     _check_budget(p, budget)
     key = _cache_key(p)
     if key not in _VOLUME_CACHE:
+        if len(_VOLUME_CACHE) >= _VOLUME_CACHE_SIZE:
+            del _VOLUME_CACHE[next(iter(_VOLUME_CACHE))]
         _VOLUME_CACHE[key] = _expand_volume(p)
     return _VOLUME_CACHE[key]
 

@@ -110,20 +110,22 @@ def stability_cone(p, budget=DEFAULT_BUDGET):
     For a subbundle S of rank rk, the constraint is
     rk * deg(T) - dim * deg(S) = sum_i d_i H_i . H^(dim-1) with d the
     slope gap of S: the derivative of the volume polynomial along d, over
-    dim, built in one pass over the partial derivatives.
+    dim.  The k partial derivatives are laid out once as a table, each
+    monomial in sorted order with its k coefficients, and an inequality is
+    one pass over that table; its terms come out in sorted order.
     """
     qpolys = intersection_polynomial(p, p.dim - 1, budget)
     k = len(p.sigma)
+    columns = {}
+    for pos in range(k):
+        for exps, coeff in qpolys[pos].terms.items():
+            columns.setdefault(exps, [0] * k)[pos] = coeff
+    table = sorted(columns.items())
     inequalities = []
     for subset, gap in _subset_gaps(p, tangent_rep(p)):
-        terms = {}
-        for pos, d in enumerate(gap):
-            if d:
-                for exps, coeff in qpolys[pos].terms.items():
-                    terms[exps] = terms.get(exps, 0) + d * coeff
-        inequalities.append(
-            ConeInequality(subset, IntPoly(k, terms).normalized(), True)
-        )
+        terms = {e: v for e, coeffs in table if (v := sum(map(mul, gap, coeffs)))}
+        poly = IntPoly._from_terms(k, terms).normalized()
+        inequalities.append(ConeInequality(subset, poly, True))
     return inequalities
 
 

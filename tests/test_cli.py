@@ -1,3 +1,5 @@
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -7,17 +9,22 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagquiver import (
     REDUCED,
     borel,
+    boundary_2d,
+    build_parabolic,
     build_root_system,
     chevalley_constant,
     cli,
     induced_quiver,
+    stability_cone,
 )
+
+from cone_oracle import cone_json
 
 
 def run_cli(capsys, argv):
@@ -73,6 +80,50 @@ def test_json_outputs_round_trip_and_are_deterministic(capsys, tmp_path):
         assert target.read_bytes() == out1.encode(), args
     empty = ["cone", "--series", "D", "--rank", "4", "--parabolic", "1"]
     assert run_cli(capsys, empty)[1] == '{\n  "inequalities": []\n}\n'
+
+
+def _marked_sets(rank, most):
+    marks = range(1, rank + 1)
+    return [s for n in range(1, most + 1) for s in itertools.combinations(marks, n)]
+
+
+# every parabolic of A1-A5 and D4 (D4{1} has the empty cone), those of D5
+# with up to 3 marks, and five of E6
+_ORACLE_CASES = [("A", rank, _marked_sets(rank, rank)) for rank in range(1, 6)] + [
+    ("D", 4, _marked_sets(4, 4)),
+    ("D", 5, _marked_sets(5, 3)),
+    ("E", 6, [(1,), (2,), (1, 6), (1, 2), (3, 5)]),
+]
+
+
+def _cone_args(series, rank, sigma, *extra):
+    return ["cone", "--series", series, "--rank", str(rank),
+            "--parabolic", ",".join(map(str, sigma)), *extra]
+
+
+@pytest.mark.parametrize("series,rank,sigmas", _ORACLE_CASES,
+                         ids=[f"{s}{r}" for s, r, _ in _ORACLE_CASES])
+def test_cone_json_is_the_stdlib_encoding_of_the_oracle(capsys, series, rank, sigmas):
+    system = build_root_system(series, rank)
+    for sigma in sigmas:
+        data = cone_json(stability_cone(build_parabolic(system, sigma)))
+        expected = json.dumps(data, indent=2) + "\n"
+        assert run_cli(capsys, _cone_args(series, rank, sigma)) == (0, expected, ""), sigma
+
+
+def test_cone_boundary_json_and_out_file_are_the_oracle(capsys, tmp_path):
+    for rank, sigma in ((2, (1, 2)), (3, (1, 3)), (4, (1, 4))):
+        inequalities = stability_cone(build_parabolic(build_root_system("A", rank), sigma))
+        data = cone_json(inequalities, boundary_2d(inequalities))
+        expected = json.dumps(data, indent=2) + "\n"
+        args = _cone_args("A", rank, sigma, "--boundary")
+        assert run_cli(capsys, args) == (0, expected, ""), sigma
+    target = tmp_path / "cone.json"
+    p = borel(build_root_system("A", 4))
+    expected = json.dumps(cone_json(stability_cone(p)), indent=2) + "\n"
+    args = _cone_args("A", 4, (1, 2, 3, 4), "--out", str(target))
+    assert run_cli(capsys, args) == (0, "", "")
+    assert target.read_bytes() == expected.encode()
 
 
 _json_leaves = (
@@ -489,3 +540,84 @@ def test_cone_default_output_is_the_written_format(capsys, extra, fmt):
     code, explicit, _ = run_cli(capsys, argv + ["--output", fmt])
     assert code == 0
     assert explicit == default
+
+
+def test_rank_ceiling_is_invalid_input(capsys):
+    for rank in (cli.MAX_RANK + 1, 10**40):
+        code, out, err = run_cli(capsys, ["roots", "--series", "A", "--rank", str(rank)])
+        assert (code, out) == (2, "")
+        assert err == f"error: --rank is capped at {cli.MAX_RANK}\n"
+    code, out, _ = run_cli(capsys, ["roots", "--series", "D", "--rank", str(cli.MAX_RANK),
+                                    "--output", "csv"])
+    assert code == 0 and out.count("\n") == 1 + cli.MAX_RANK**2
+
+
+# Pools for the argv fuzz: each option's (valid, awkward) values.  Valid
+# ranks stay at 4 or below, so every example runs in a fraction of a second.
+_FUZZ_VALUES = {
+    "--series": (["A", "D"], ["E", "B", ""]),
+    "--rank": (["4", "3", "2", "1"], ["-3", "0", "25", str(10**9), str(10**40), "x"]),
+    "--parabolic": (["borel", "1", "2,1", "1,3"], ["all", "0", "-1", "9", "1,,2", "x"]),
+    "--polarization": (["1,2", "1", "1,2,3", "3,1,2,4"], ["0,1", "-1,2", "x", ""]),
+    "--output": (["json", "csv", "text", "dot"], ["bogus"]),
+    "--budget": (["1000000", "10"], ["0", "-1"]),
+    "--grid": (["2"], ["0", "-1"]),
+    "--section": (["4", "1"], ["0", "-1"]),
+    "--boundary": ([None], []),
+    "--mode": (["full", "reduced"], ["odd"]),
+    "--level": (["borel", "levi"], []),
+    "--out": ([], [os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                "no-such-directory", "out.json")]),
+}
+_FUZZ_COMMANDS = {
+    "roots": (),
+    "simplicity": ("--parabolic",),
+    "quiver": ("--parabolic", "--mode", "--level"),
+    "intersections": ("--parabolic",),
+    "cone": ("--parabolic", "--grid", "--section", "--boundary"),
+    "king": ("--parabolic", "--polarization"),
+}
+_FUZZ_NEEDED = ("--series", "--rank", "--parabolic", "--polarization")
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(list(_FUZZ_COMMANDS)))
+    argv = [command]
+    options = ("--series", "--rank") + _FUZZ_COMMANDS[command] + ("--output", "--budget")
+    # now and then one more option, which the command may not take
+    options += draw(st.sampled_from([()] * 2 + [(o,) for o in _FUZZ_VALUES]))
+    for option in options:
+        odds = 15 if option in _FUZZ_NEEDED else 2
+        if draw(st.sampled_from([True] * odds + [False] * 2)):
+            valid, awkward = _FUZZ_VALUES[option]
+            if not awkward or valid and draw(st.sampled_from([True] * 4 + [False])):
+                value = draw(st.sampled_from(valid))
+            else:
+                value = draw(st.sampled_from(awkward))
+            argv += [option] if value is None else [option, value]
+    return argv
+
+
+def _fuzz_example(command, rank, parabolic, *extra):
+    return example([command, "--series", "A", "--rank", rank, "--parabolic", parabolic,
+                    *extra])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(_fuzz_argv())
+@_fuzz_example("cone", "3", "borel", "--budget", "0")
+@_fuzz_example("cone", "3", "borel", "--grid", "-1")
+@_fuzz_example("cone", "2", "1,2", "--boundary", "--out", _FUZZ_VALUES["--out"][1][0])
+@_fuzz_example("king", "2", "1,2", "--polarization", "0,1")
+@_fuzz_example("king", "2", "1,2", "--polarization", "2,1")
+@_fuzz_example("quiver", "-1", "borel")
+@_fuzz_example("simplicity", str(10**40), "all")
+def test_any_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), argv
+    assert "Traceback" not in err.getvalue(), argv
+    if code in (2, 4):
+        assert out.getvalue() == "", argv

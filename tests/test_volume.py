@@ -121,3 +121,24 @@ def test_caches_are_keyed_on_the_parabolic_not_the_budget():
         volume_polynomial(p, budget=10)
     with pytest.raises(BudgetExceeded):
         intersection_number(p, (2, 2, 2), budget=10)
+
+
+def test_volume_cache_keeps_only_the_most_recent_parabolics():
+    bound = schubert._VOLUME_CACHE_SIZE
+    schubert._VOLUME_CACHE.clear()
+    parabolics = list(all_parabolics(build_root_system("A", 4)))[: bound + 3]
+    assert len(parabolics) == bound + 3
+    first = parabolics[0]
+    kept = volume_polynomial(first)
+    for p in parabolics:
+        volume_polynomial(p)
+        assert len(schubert._VOLUME_CACHE) <= bound
+    keys = list(schubert._VOLUME_CACHE)
+    assert keys == [("A", 4, p.sigma) for p in parabolics[-bound:]]
+    # the evicted parabolic is expanded again, to the same polynomial
+    again = volume_polynomial(first)
+    assert again == kept and again is not kept
+    assert list(schubert._VOLUME_CACHE)[-1] == ("A", 4, first.sigma)
+    assert volume_polynomial(first) is again
+    with pytest.raises(BudgetExceeded):
+        volume_polynomial(first, budget=1)
