@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import errno
 import itertools
+import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
@@ -213,14 +214,16 @@ def _tangent_quiver(args, p):
     if args.level == "levi":
         return trep.levi_rep
     if args.mode == quiver_mod.REDUCED:
+        # generators are a subsequence of the nilradical weights, so the
+        # reduced arrows are the full ones with a generator label, in order
         full = trep.rep.quiver
-        reduced = quiver_mod.induced_quiver(
-            full.parabolic, full.vertices, quiver_mod.REDUCED
+        generators = set(full.parabolic.generator_weights)
+        kept = [k for k, a in enumerate(full.arrows) if a.label in generators]
+        reduced = quiver_mod.InducedQuiver(
+            full.vertices, [full.arrows[k] for k in kept], quiver_mod.REDUCED,
+            full.parabolic,
         )
-        maps = {
-            k: trep.rep.maps[full.arrow_index(a.src, a.label.coords2)]
-            for k, a in enumerate(reduced.arrows)
-        }
+        maps = {i: trep.rep.maps[k] for i, k in enumerate(kept)}
         return quiver_mod.QuiverRep(reduced, trep.rep.dims, maps)
     return trep.rep
 
@@ -323,8 +326,13 @@ def cmd_cone(args):
                          f" (this request writes {written})")
     p = _parabolic(args)
     if sampled:
-        cone = degree_cone(p, args.budget)
         k = len(p.sigma)
+        count = args.grid**k if args.grid else math.comb(args.section - 1, k - 1)
+        if count > args.budget:
+            raise BudgetExceeded(
+                f"a sample of {count} points exceeds the budget {args.budget}"
+            )
+        cone = degree_cone(p, args.budget)
         if args.grid:
             points = itertools.product(range(1, args.grid + 1), repeat=k)
         else:

@@ -7,6 +7,7 @@ from .errors import (
     MismatchedSystem,
     ModeMismatch,
     NotLeviDominant,
+    NotMultiplicityFree,
     UnsupportedParabolic,
 )
 from .parabolic import is_levi_dominant
@@ -29,14 +30,6 @@ class InducedQuiver:
         self.arrows = tuple(arrows)
         self.mode = mode
         self.parabolic = parabolic
-        self.vertex_index = {w: i for i, w in enumerate(self.vertices)}
-        self.out_by_label = {}
-        for k, a in enumerate(self.arrows):
-            self.out_by_label.setdefault(a.src, {})[a.label.coords2] = k
-
-    def arrow_index(self, src, label_coords2):
-        """Index of the arrow leaving ``src`` with the given label, if any."""
-        return self.out_by_label.get(src, {}).get(label_coords2)
 
     def __repr__(self):
         return (
@@ -200,51 +193,37 @@ def relation_instances(q):
     return list(_relations(q, range(len(q.vertices))))
 
 
-def _mat_mul(a, b):
-    return tuple(
-        tuple(sum(ra[k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for ra in a
-    )
-
-
 class FlatnessResult(NamedTuple):
     ok: bool
     violation: tuple | None  # (vertex weight, alpha, beta)
 
 
 def verify_flatness(rep):
-    """Check that arrow maps commute up to the structure-constant term.
+    """Check that arrow scalars commute up to the structure-constant term.
 
-    For every vertex and every pair of nilradical weights the composite
-    maps must satisfy the commutator identity of the nilpotent action;
-    absent arrows contribute zero.  Requires a FULL-mode quiver.
+    For every support vertex and every pair of nilradical weights, the
+    scalars must satisfy the commutator identity of the nilpotent action:
+    N(beta path) - N(alpha path) - n * N(bracket) = 0.  An arrow without a
+    map, or with an empty map at a zero-dimensional end, has scalar 0, and
+    so has a path through a missing arrow.  Requires a FULL-mode quiver
+    and a multiplicity-free rep.
     """
     q = rep.quiver
     if q.mode != FULL:
         raise ModeMismatch("flatness requires a FULL-mode quiver")
+    if any(rep.dims[v] != 1 for v in rep.support):
+        raise NotMultiplicityFree("flatness requires all dims equal to 1")
+    scalar = [0] * len(q.arrows)
+    for k, m in rep.maps.items():
+        if m and m[0]:
+            scalar[k] = m[0][0]
 
     def composite(path):
-        # second(first(.)), or None (zero) for a missing arrow or map
-        if path is None or path[0] not in rep.maps or path[1] not in rep.maps:
-            return None
-        return _mat_mul(rep.maps[path[1]], rep.maps[path[0]])
+        return 0 if path is None else scalar[path[0]] * scalar[path[1]]
 
     for r in _relations(q, rep.support):
-        # alpha after beta, minus beta after alpha, minus n times the bracket
-        terms = [
-            (c, m)
-            for c, m in (
-                (1, composite(r.path_via_beta)),
-                (-1, composite(r.path_via_alpha)),
-                (-r.chevalley, rep.maps.get(r.bracket_arrow)),
-            )
-            if m is not None
-        ]
-        if terms and any(
-            sum(c * m[i][j] for c, m in terms)
-            for i, row in enumerate(terms[0][1])
-            for j in range(len(row))
-        ):
+        bracket = 0 if r.bracket_arrow is None else r.chevalley * scalar[r.bracket_arrow]
+        if composite(r.path_via_beta) - composite(r.path_via_alpha) - bracket:
             return FlatnessResult(False, (q.vertices[r.source], r.alpha, r.beta))
     return FlatnessResult(True, None)
 

@@ -236,12 +236,26 @@ class Surd:
     def __hash__(self):
         return hash((self.p, self.q, self.r, self.s))
 
+    def _interval(self, scale):
+        """Rationals lo <= self <= hi with hi - lo = |q| / (s * scale)."""
+        root = isqrt(self.r * scale * scale)
+        ends = (self.p * scale + self.q * x for x in (root, root + 1))
+        return sorted(Fraction(e, self.s * scale) for e in ends)
+
     def __lt__(self, other):
-        # sign of self - other = A + B sqrt(r1) + C sqrt(r2), exactly
-        a = Fraction(self.p, self.s) - Fraction(other.p, other.s)
-        b = Fraction(self.q, self.s)
-        c = Fraction(-other.q, other.s)
-        return _sign_two_surds(a, b, self.r, c, other.r) < 0
+        # the normal form is unique, so unequal surds differ in value, and
+        # intervals around the two separate once they are narrow enough
+        if self == other:
+            return False
+        bits = 32
+        while True:
+            lo, hi = self._interval(1 << bits)
+            other_lo, other_hi = other._interval(1 << bits)
+            if hi <= other_lo:
+                return True
+            if other_hi <= lo:
+                return False
+            bits *= 2
 
     def __le__(self, other):
         return self == other or self < other
@@ -250,39 +264,6 @@ class Surd:
         if self.is_rational:
             return f"Surd({Fraction(self.p, self.s)})"
         return f"Surd(({self.p}+{self.q}*sqrt({self.r}))/{self.s})"
-
-
-def _sign_linear(a, b, r):
-    """Exact sign of a + b*sqrt(r) for rationals a, b and integer r >= 0."""
-    if b == 0 or r == 0:
-        return (a > 0) - (a < 0)
-    if a == 0:
-        return (b > 0) - (b < 0)
-    if a > 0 and b > 0:
-        return 1
-    if a < 0 and b < 0:
-        return -1
-    lhs, rhs = a * a, b * b * r
-    if lhs == rhs:
-        return 0
-    return (1 if a > 0 else -1) if lhs > rhs else (1 if b > 0 else -1)
-
-
-def _sign_two_surds(a, b, r1, c, r2):
-    """Exact sign of a + b*sqrt(r1) + c*sqrt(r2)."""
-    if c == 0 or r2 == 0:
-        return _sign_linear(a, b, r1)
-    if b == 0 or r1 == 0:
-        return _sign_linear(a, c, r2)
-    left = _sign_linear(a, b, r1)
-    right = -((c > 0) - (c < 0))  # sign of -c*sqrt(r2)
-    if left != right:
-        return 1 if left > right else -1
-    if left == 0:
-        return 0
-    # both sides share a sign; compare squares: (a + b sqrt(r1))^2 vs c^2 r2
-    cmp = _sign_linear(a * a + b * b * r1 - c * c * r2, 2 * a * b, r1)
-    return left * cmp
 
 
 class Boundary2D(NamedTuple):

@@ -30,6 +30,14 @@ def tangent_maps(q):
     }
 
 
+def out_by_label(q):
+    """``{src: {label coords2: arrow index}}`` of the arrows leaving each vertex."""
+    out = {}
+    for k, a in enumerate(q.arrows):
+        out.setdefault(a.src, {})[a.label.coords2] = k
+    return out
+
+
 def relations(q, sources):
     """Relations at the sources, by Weight sums of the nilradical pairs.
 
@@ -47,13 +55,15 @@ def relations(q, sources):
                 by_label.setdefault(label, []).append(len(pairs))
             pairs.append((alpha, beta, s.coords2, n))
 
+    index = out_by_label(q)
+
     def path(k1, second):
-        k2 = None if k1 is None else q.arrow_index(q.arrows[k1].dst, second.coords2)
+        k2 = None if k1 is None else index.get(q.arrows[k1].dst, {}).get(second.coords2)
         return None if k2 is None else (k1, k2)
 
     out = []
     for src in sources:
-        here = q.out_by_label.get(src, {})
+        here = index.get(src, {})
         for i in sorted(set().union(*(by_label.get(label, ()) for label in here))):
             alpha, beta, sum_coords, n = pairs[i]
             ka, kb = here.get(alpha.coords2), here.get(beta.coords2)
@@ -65,16 +75,17 @@ def relations(q, sources):
 
 
 def flatness(rep, rels):
-    """``(ok, violation)`` of a rep with one-dimensional vertices.
+    """``(ok, violation)`` of a rep whose vertices have dimension 0 or 1.
 
-    ``rels`` are the relations of ``rep.quiver`` at every vertex.
+    ``rels`` are the relations of ``rep.quiver`` at every vertex.  A map
+    at a zero-dimensional end is empty and counts as 0.
     """
     q = rep.quiver
     support = set(rep.support)
 
     def scalar(k):
         m = rep.maps.get(k)
-        return 0 if m is None else m[0][0]
+        return m[0][0] if m and m[0] else 0
 
     def composite(path):
         return 0 if path is None else scalar(path[0]) * scalar(path[1])

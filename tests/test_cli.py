@@ -158,10 +158,16 @@ def test_json_emitter_refuses_what_json_cannot_write(bad):
         cli._dumps(bad)
 
 
-def test_closed_stdout_ends_the_output_quietly():
+def cli_env():
+    """The environment for running this package's ``flagquiver.cli`` as a child."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_closed_stdout_ends_the_output_quietly():
+    env = cli_env()
     # the output (about 200 kB) is larger than a pipe holds, so the writer
     # is still writing when the reader goes
     proc = subprocess.Popen(
@@ -324,6 +330,35 @@ def test_budget_exit_code(capsys):
             assert time.perf_counter() - start < 30
 
 
+def test_sample_over_the_budget_exits_before_any_work():
+    # 100000^3 points are counted, never listed; a child process with a
+    # timeout, so that a run which starts on them cannot hang the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "flagquiver.cli", "cone", "--series", "A",
+         "--rank", "3", "--parabolic", "borel", "--grid", "100000"],
+        capture_output=True, env=cli_env(), timeout=10,
+    )
+    assert proc.returncode == 4
+    assert proc.stdout == b""
+    assert b"exceeds the budget" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "sample,count", [("--grid 3", 27), ("--section 9", 28), ("--section 1500", 1122751)]
+)
+def test_sample_size_is_checked_against_the_budget(capsys, sample, count):
+    # the grid has N^k points and the section comb(N - 1, k - 1)
+    argv = ["cone", "--series", "A", "--rank", "3", "--parabolic", "borel"]
+    argv += sample.split()
+    code, out, err = run_cli(capsys, argv + ["--budget", str(count - 1)])
+    assert (code, out) == (4, "")
+    assert f"a sample of {count} points exceeds the budget" in err
+    if count < 100:
+        code, out, _ = run_cli(capsys, argv + ["--budget", str(count)])
+        assert code == 0
+        assert len(out.splitlines()) == count + 1
+
+
 def test_king_unstable_with_witness(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -421,7 +456,7 @@ def test_parabolic_index_order_does_not_change_output(
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("series,rank", [("A", 3), ("D", 4)])
+@pytest.mark.parametrize("series,rank", [("A", 3), ("D", 4), ("D", 5), ("E", 6)])
 def test_reduced_quiver_json_is_the_reduced_induced_quiver(capsys, series, rank):
     code, out, _ = run_cli(
         capsys,

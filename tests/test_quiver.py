@@ -7,6 +7,7 @@ from flagquiver import (
     REDUCED,
     ModeMismatch,
     NotLeviDominant,
+    NotMultiplicityFree,
     QuiverRep,
     RelationInstance,
     UnsupportedParabolic,
@@ -20,6 +21,8 @@ from flagquiver import (
     to_dot,
     verify_flatness,
 )
+
+import quiver_oracle as oracle
 
 
 def brute_force_arrows(p, vertices, labels):
@@ -106,7 +109,7 @@ def test_relation_commutative_square_a3():
     b = borel(a3)
     q = induced_quiver(b, b.tangent_weights, FULL)
     theta = a3.positive_roots[-1]
-    src = q.vertex_index[-theta]
+    src = q.vertices.index(-theta)
     a1, a3r = a3.simple_root(1), a3.simple_root(3)
     match = [
         r
@@ -170,9 +173,13 @@ def test_relation_count_matches_brute_force(series, rank):
 def all_pairs_relations(q):
     """Every nilradical pair at every source, kept when a term is realizable."""
     nil = q.parabolic.nilradical_weights
+    index = oracle.out_by_label(q)
+
+    def arrow(src, label):
+        return index.get(src, {}).get(label.coords2)
 
     def path(k1, second):
-        k2 = None if k1 is None else q.arrow_index(q.arrows[k1].dst, second.coords2)
+        k2 = None if k1 is None else arrow(q.arrows[k1].dst, second)
         return None if k2 is None else (k1, k2)
 
     out = []
@@ -181,9 +188,8 @@ def all_pairs_relations(q):
             for beta in nil[ia + 1:]:
                 s = alpha + beta
                 n = chevalley_constant(alpha, beta) if s.is_root else 0
-                ka = q.arrow_index(src, alpha.coords2)
-                kb = q.arrow_index(src, beta.coords2)
-                bracket = q.arrow_index(src, s.coords2) if n else None
+                ka, kb = arrow(src, alpha), arrow(src, beta)
+                bracket = arrow(src, s) if n else None
                 path_a, path_b = path(ka, beta), path(kb, alpha)
                 if path_a or path_b or bracket is not None:
                     out.append(
@@ -245,6 +251,35 @@ def test_flatness_detects_a_flipped_sign():
         w, alpha, beta = result.violation
         assert w in rep.quiver.vertices
         assert alpha.is_root and beta.is_root
+
+
+def test_flatness_refuses_a_vertex_of_dimension_two():
+    b = borel(build_root_system("A", 2))
+    q = induced_quiver(b, b.tangent_weights, FULL)
+    for dims in [(2, 1, 1), (1, 0, 2)]:
+        with pytest.raises(NotMultiplicityFree):
+            verify_flatness(QuiverRep(q, dims, {}))
+
+
+def test_flatness_with_a_zero_dimensional_vertex_matches_the_oracle():
+    # the maps at a zero-dimensional vertex are empty: () into it, ((),) out
+    rep = tangent_rep(borel(build_root_system("A", 3))).rep
+    q = rep.quiver
+    rels = oracle.relations(q, range(len(q.vertices)))
+    verdicts = []
+    for v in range(len(q.vertices)):
+        dims = tuple(0 if i == v else 1 for i in range(len(q.vertices)))
+        maps = dict(rep.maps)
+        for k, a in enumerate(q.arrows):
+            if a.dst == v:
+                maps[k] = ()
+            elif a.src == v:
+                maps[k] = ((),)
+        cut = QuiverRep(q, dims, maps)
+        result = verify_flatness(cut)
+        assert result == oracle.flatness(cut, rels), v
+        verdicts.append(result.ok)
+    assert True in verdicts and False in verdicts
 
 
 def test_flatness_mode_mismatch():
