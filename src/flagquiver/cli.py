@@ -19,6 +19,8 @@ from .parabolic import build_parabolic
 from .rootsys import build_root_system
 from .schubert import DEFAULT_BUDGET, intersection_number, volume_polynomial
 from .stability import (
+    _cone_inequalities,
+    _line_verdicts,
     boundary_2d,
     degree_cone,
     degree_membership,
@@ -124,6 +126,41 @@ def _check_out(path):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
+def _write_out(path, chunks):
+    """Write ``chunks`` to the --out file, all of them or none.
+
+    Chunks may be computed as they are written, so they go to a temporary
+    file beside the target, which is moved into place after the last one:
+    a run that fails or is interrupted leaves the old file, or no file.
+    The new file keeps the old one's mode.  A target that exists but is
+    not a regular file, a FIFO or /dev/stdout say, or that sits in a
+    directory where no new file can be made, is written in place.
+    """
+    target = os.path.realpath(path)
+    directory = os.path.dirname(target)
+    if (os.path.exists(path) and not os.path.isfile(path)) or not os.access(directory, os.W_OK):
+        with open(path, "w") as fh:
+            fh.writelines(chunks)
+        return
+    try:
+        mode = os.stat(target).st_mode & 0o7777
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
+    import tempfile  # only --out needs it, and it pulls in shutil and random
+
+    fd, part = tempfile.mkstemp(dir=directory, prefix=".", suffix=".part")
+    try:
+        with open(fd, "w") as fh:
+            fh.writelines(chunks)
+        os.chmod(part, mode)
+        os.replace(part, target)
+    except BaseException:
+        os.unlink(part)
+        raise
+
+
 def _emit(args, text):
     """Write a string, or an iterable of strings, to --out or stdout.
 
@@ -133,8 +170,7 @@ def _emit(args, text):
     """
     chunks = [text] if isinstance(text, str) else text
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.writelines(chunks)
+        _write_out(args.out, chunks)
         return
     try:
         sys.stdout.writelines(chunks)
@@ -284,6 +320,8 @@ def _cone_chunks(inequalities, boundary, k):
     An inequality is ``{"subbundle": [...], "monomials": [{"exps": [...],
     "coeff": c}, ...], "strict": ...}``.  Each monomial of a ``k``-variable
     cone is written with one ``%`` template that holds its exact layout.
+    ``inequalities`` is iterated once, so a generator is written as it is
+    built.
     """
     monomial = (
         '{\n          "exps": [\n            '
@@ -292,6 +330,7 @@ def _cone_chunks(inequalities, boundary, k):
     )
     yield '{\n  "inequalities": ['
     sep = "\n    "
+    end = "]"
     for iq in inequalities:
         monomials = [monomial % (e + (c,)) for e, c in iq.polynomial.sorted_items()]
         yield (
@@ -306,10 +345,44 @@ def _cone_chunks(inequalities, boundary, k):
             + "\n    }"
         )
         sep = ",\n    "
-    yield "\n  ]" if inequalities else "]"
+        end = "\n  ]"
+    yield end
     if boundary is not None:
         yield ',\n  "boundary": ' + _json(boundary, "\n  ")
     yield "\n}\n"
+
+
+def _sample_csv(cone, k, grid, section):
+    """The CSV lines of a sample after its header, one lattice line a chunk.
+
+    ``{1..grid}^k`` is listed in lexicographic order, so its lines are the
+    runs of the last coordinate.  The section ``sum(a_i) = section`` is a
+    raster of the cross-section of the cone: the inequalities are
+    homogeneous, so fixed-sum integer points sample the projective picture
+    exactly.  Cut points 0 < c_1 < ... < section, in lexicographic order,
+    give the parts c_{j+1} - c_j >= 1, so its lines are the runs of the
+    last cut, a step of (+1, -1) on the last two parts.
+    """
+    if grid:
+        tails = [f"{j}," for j in range(1, grid + 1)]
+        step = (0,) * (k - 1) + (1,)
+        for prefix in itertools.product(range(1, grid + 1), repeat=k - 1):
+            head = "".join(f"{x}," for x in prefix)
+            verdicts = _line_verdicts(cone, prefix + (1,), step, grid)
+            yield "".join([head + t + v + "\n" for t, v in zip(tails, verdicts)])
+    elif k == 1:
+        (verdict,) = _line_verdicts(cone, (section,), (0,), 1)
+        yield f"{section},{verdict}\n"
+    else:
+        step = (0,) * (k - 2) + (1, -1)
+        for cuts in itertools.combinations(range(1, section - 1), k - 2):
+            prefix = tuple(b - a for a, b in zip((0,) + cuts, cuts))
+            head = "".join(f"{x}," for x in prefix)
+            rest = section - (cuts[-1] if cuts else 0)
+            verdicts = _line_verdicts(cone, prefix + (1, rest - 1), step, rest - 1)
+            yield "".join(
+                [f"{head}{j},{rest - j},{v}\n" for j, v in enumerate(verdicts, 1)]
+            )
 
 
 def cmd_cone(args):
@@ -332,37 +405,20 @@ def cmd_cone(args):
             raise BudgetExceeded(
                 f"a sample of {count} points exceeds the budget {args.budget}"
             )
-        cone = degree_cone(p, args.budget)
-        if args.grid:
-            points = itertools.product(range(1, args.grid + 1), repeat=k)
-        else:
-            # raster of the cross-section cut by the plane sum(a_i) = N; the
-            # inequalities are homogeneous, so fixed-sum integer points sample
-            # the projective picture exactly.  Cut points 0 < c_1 < ... < N
-            # give the parts c_{j+1} - c_j >= 1, in lexicographic order.
-            n = args.section
-            points = (
-                tuple(b - a for a, b in zip((0,) + c, c + (n,)))
-                for c in itertools.combinations(range(1, n), k - 1)
-            )
-        lines = [",".join(f"a{i}" for i in p.sigma) + ",verdict"]
-        for h in points:
-            lines.append(
-                ",".join(str(x) for x in h)
-                + ","
-                + degree_membership(cone, h)
-            )
-        _emit(args, "\n".join(lines) + "\n")
+        header = ",".join(f"a{i}" for i in p.sigma) + ",verdict\n"
+        chunks = _sample_csv(degree_cone(p, args.budget), k, args.grid, args.section)
+        _emit(args, itertools.chain([header], chunks))
         return EXIT_OK
-    inequalities = stability_cone(p, args.budget)
-    boundary = None
     if args.boundary:
+        inequalities = stability_cone(p, args.budget)
         bounds = boundary_2d(inequalities)
         boundary = {
             "lower": _surd_json(bounds.lower),
             "upper": _surd_json(bounds.upper),
             "rational_endpoint": bounds.has_rational_endpoint,
         }
+    else:
+        inequalities, boundary = _cone_inequalities(p, args.budget), None
     _emit(args, _cone_chunks(inequalities, boundary, len(p.sigma)))
     return EXIT_OK
 

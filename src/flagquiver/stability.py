@@ -7,6 +7,7 @@ the character-based verdicts use the same integer data.
 """
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, isqrt, prod
 from operator import mul
@@ -100,6 +101,28 @@ def _subset_gaps(p, trep):
         yield subset, [sum(col) for col in zip(*(gaps[ci] for ci in subset))]
 
 
+def _cone_inequalities(p, budget):
+    """The inequalities of ``stability_cone``, built one at a time.
+
+    The budget check and the table of partial derivatives run at the
+    call, so a refused cone raises before the first inequality is asked
+    for; each inequality is built as the result is iterated.
+    """
+    qpolys = intersection_polynomial(p, p.dim - 1, budget)
+    k = len(p.sigma)
+    columns = {}
+    for pos in range(k):
+        for exps, coeff in qpolys[pos].terms.items():
+            columns.setdefault(exps, [0] * k)[pos] = coeff
+    table = sorted(columns.items())
+
+    def inequality(subset, gap):
+        terms = {e: v for e, coeffs in table if (v := sum(map(mul, gap, coeffs)))}
+        return ConeInequality(subset, IntPoly._from_terms(k, terms).normalized(), True)
+
+    return (inequality(subset, gap) for subset, gap in _subset_gaps(p, tangent_rep(p)))
+
+
 def stability_cone(p, budget=DEFAULT_BUDGET):
     """One positivity constraint per reduced invariant subbundle.
 
@@ -114,19 +137,7 @@ def stability_cone(p, budget=DEFAULT_BUDGET):
     monomial in sorted order with its k coefficients, and an inequality is
     one pass over that table; its terms come out in sorted order.
     """
-    qpolys = intersection_polynomial(p, p.dim - 1, budget)
-    k = len(p.sigma)
-    columns = {}
-    for pos in range(k):
-        for exps, coeff in qpolys[pos].terms.items():
-            columns.setdefault(exps, [0] * k)[pos] = coeff
-    table = sorted(columns.items())
-    inequalities = []
-    for subset, gap in _subset_gaps(p, tangent_rep(p)):
-        terms = {e: v for e, coeffs in table if (v := sum(map(mul, gap, coeffs)))}
-        poly = IntPoly._from_terms(k, terms).normalized()
-        inequalities.append(ConeInequality(subset, poly, True))
-    return inequalities
+    return list(_cone_inequalities(p, budget))
 
 
 def _ample(polarization):
@@ -162,25 +173,54 @@ def degree_cone(p, budget=DEFAULT_BUDGET):
     return DegreeCone(tuple(forms), rows)
 
 
+def _verdicts(rows, points):
+    """The verdict at each point, given as its tuple of degrees L_c(h).
+
+    D = prod_c L_c(h) weights component c by the exact integer
+    D // L_c(h).  A point is STABLE when every row sum is positive,
+    UNSTABLE when one is negative, and on the boundary otherwise.
+    """
+    verdicts = []
+    for degrees in points:
+        weights = list(map(prod(degrees).__floordiv__, degrees))
+        verdict = STABLE
+        for row in rows:
+            value = sum(map(mul, row, weights))
+            if value < 0:
+                verdict = UNSTABLE
+                break
+            if value == 0:
+                verdict = BOUNDARY
+        verdicts.append(verdict)
+    return verdicts
+
+
+def _line_verdicts(cone, start, step, count):
+    """Verdicts at the points start + i * step, for i in range(count).
+
+    Every point must be ample; nothing is validated here.  Along the line
+    each degree form L_c is affine, so the degrees are stepped as
+    arithmetic progressions and never recomputed from the point.
+    """
+    lines = [
+        itertools.count(sum(map(mul, form, start)), sum(map(mul, form, step)))
+        for form in cone.forms
+    ]
+    return _verdicts(cone.rows, itertools.islice(zip(*lines), count))
+
+
 def degree_membership(cone, polarization):
     """STABLE / UNSTABLE / boundary verdict at an ample integer tuple.
 
-    This is the only pointwise cone verdict of the library.  Row sums weight component c by D(h) / L_c(h), an exact integer.
+    The polarization is checked for amplitude and arity, and decided by
+    the kernel that also decides ``cone --grid`` and ``--section``: row
+    sums weight component c by D(h) / L_c(h), an exact integer.
     """
     h = _ample(polarization)
     if len(h) != len(cone.forms[0]):
         raise ValueError("point has the wrong arity")
-    degrees = [sum(map(mul, form, h)) for form in cone.forms]
-    total = prod(degrees)
-    weights = [total // deg for deg in degrees]
-    on_boundary = False
-    for row in cone.rows:
-        value = sum(map(mul, row, weights))
-        if value < 0:
-            return UNSTABLE
-        if value == 0:
-            on_boundary = True
-    return BOUNDARY if on_boundary else STABLE
+    (verdict,) = _verdicts(cone.rows, [[sum(map(mul, form, h)) for form in cone.forms]])
+    return verdict
 
 
 class Surd:

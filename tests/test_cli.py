@@ -24,7 +24,7 @@ from flagquiver import (
     stability_cone,
 )
 
-from cone_oracle import cone_json
+from cone_oracle import cone_json, cone_membership
 
 
 def run_cli(capsys, argv):
@@ -300,6 +300,35 @@ def test_cone_section_csv(capsys):
     assert ["6", "6", "6", "STABLE"] in rows
 
 
+# every parabolic of A1-A4 and D4: k = 1 cones, and sections that are
+# header-only (N < k), a single line (N = k) and several lines
+_SAMPLE_CASES = [(s, r, sigma) for s, r in (("A", 1), ("A", 2), ("A", 3), ("A", 4),
+                                            ("D", 4)) for sigma in _marked_sets(r, r)]
+
+
+@pytest.mark.parametrize("series,rank,sigma", _SAMPLE_CASES,
+                         ids=[f"{s}{r}-{''.join(map(str, g))}" for s, r, g in _SAMPLE_CASES])
+def test_sampled_csv_is_the_pointwise_oracle(capsys, series, rank, sigma):
+    # each point decided by evaluating every expanded cone polynomial, and
+    # written one point at a time
+    cone = stability_cone(build_parabolic(build_root_system(series, rank), sigma))
+    k = len(sigma)
+    header = ",".join(f"a{i}" for i in sigma) + ",verdict"
+    samples = [("--grid", n) for n in (1, 2, 4)]
+    samples += [("--section", n) for n in range(1, k + 4)]
+    for flag, n in samples:
+        if flag == "--grid":
+            points = itertools.product(range(1, n + 1), repeat=k)
+        else:
+            points = (tuple(b - a for a, b in zip((0,) + c, c + (n,)))
+                      for c in itertools.combinations(range(1, n), k - 1))
+        lines = [header] + [
+            ",".join(str(x) for x in h) + "," + cone_membership(cone, h) for h in points
+        ]
+        argv = _cone_args(series, rank, sigma, flag, str(n))
+        assert run_cli(capsys, argv) == (0, "\n".join(lines) + "\n", ""), (flag, n)
+
+
 def test_cone_boundary_matches_closed_form(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -423,6 +452,7 @@ def test_unwritable_out_is_refused_before_the_computation(
         raise AssertionError("the cone was computed")
 
     monkeypatch.setattr(cli, "stability_cone", refuse)
+    monkeypatch.setattr(cli, "_cone_inequalities", refuse)
     code, out, err = run_cli(
         capsys,
         ["cone", "--series", "A", "--rank", "3", "--parabolic", "borel",
@@ -516,6 +546,77 @@ def test_unimplemented_output_is_invalid_input(capsys, argv):
     assert out == ""
     assert "invalid choice" in err
     assert "Traceback" not in err
+
+
+# Runs the command given as its arguments in a grandchild and prints the
+# sha256 of its stdout and its ru_maxrss.  A child's ru_maxrss starts from
+# the peak of the process it was started from, so this small process, not
+# the test runner, is the one that starts it.
+_PEAK_RSS_CHILD = """
+import hashlib, os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+digest = hashlib.sha256()
+for chunk in iter(lambda: proc.stdout.read(1 << 16), b""):
+    digest.update(chunk)
+_, status, usage = os.wait4(proc.pid, 0)
+print(digest.hexdigest(), os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux")
+def test_sample_is_written_line_by_line_in_bounded_memory():
+    # 10^6 points: a run that held every CSV line would peak near 128 MB
+    argv = [sys.executable, "-m", "flagquiver.cli", "cone", "--series", "A",
+            "--rank", "4", "--parabolic", "1,4", "--grid", "1000"]
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv],
+                          capture_output=True, env=cli_env(), timeout=120, check=True)
+    digest, code, peak_kb = proc.stdout.split()
+    assert int(code) == 0
+    assert digest == b"abb16de1c1682ea90805ee3173e83ede648ce8f7298a85f37e107907b24bf0c8"
+    assert int(peak_kb) < 48 * 1024
+
+
+@pytest.mark.parametrize("extra", [[], ["--grid", "2"], ["--grid", "3"]])
+def test_over_budget_cone_leaves_stdout_and_out_file_untouched(capsys, tmp_path, extra):
+    # |W/W_P| = 24 for A3/B: the cone is refused by its budget check, and
+    # the 27-point grid by its point count, before anything is written
+    target = tmp_path / "cone.out"
+    argv = ["cone", "--series", "A", "--rank", "3", "--parabolic", "borel",
+            "--budget", "10", "--out", str(target), *extra]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (4, "")
+    assert "exceeds the budget" in err
+    assert not target.exists()
+
+
+def test_interrupted_sample_leaves_the_old_out_file(capsys, tmp_path, monkeypatch):
+    # the grid's verdicts are computed while it is written; an interrupt
+    # after the first line must not leave a truncated file
+    target = tmp_path / "cone.csv"
+    target.write_text("old\n")
+    os.chmod(target, 0o640)
+    argv = ["cone", "--series", "A", "--rank", "3", "--parabolic", "borel",
+            "--grid", "3", "--out", str(target)]
+    line_verdicts = cli._line_verdicts
+
+    def interrupted(*args):
+        monkeypatch.setattr(cli, "_line_verdicts", interrupt)
+        return line_verdicts(*args)
+
+    def interrupt(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_line_verdicts", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(argv)
+    assert target.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["cone.csv"]
+    monkeypatch.setattr(cli, "_line_verdicts", line_verdicts)
+    assert run_cli(capsys, argv) == (0, "", "")
+    expected = run_cli(capsys, argv[:-2])[1]
+    assert target.read_text() == expected
+    assert os.stat(target).st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["cone.csv"]
 
 
 @pytest.mark.parametrize(

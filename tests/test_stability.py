@@ -34,7 +34,7 @@ from flagquiver import (
     tangent_rep,
 )
 from flagquiver import stability
-from flagquiver.stability import ConeInequality, Surd
+from flagquiver.stability import ConeInequality, Surd, _line_verdicts
 from cone_oracle import cone_membership
 from conftest import all_parabolics
 from test_tangentrep import little_rep
@@ -493,3 +493,55 @@ def test_degree_membership_matches_the_oracle_at_large_points(case_point):
     case, h = case_point
     cone, degrees = _oracle_cones(case)
     assert degree_membership(degrees, h) == cone_membership(cone, h)
+
+
+def _seeded_sigmas(series, rank, count=4):
+    """The Borel parabolic and seeded others: ``count`` in all, or every one."""
+    rng = random.Random(f"{series}{rank}")
+    sigmas = [tuple(range(1, rank + 1))]
+    while len(sigmas) < min(count, 2**rank - 1):
+        sigma = tuple(sorted(rng.sample(range(1, rank + 1), rng.randint(1, rank))))
+        if sigma not in sigmas:
+            sigmas.append(sigma)
+    return [(series, rank, sigma) for sigma in sigmas]
+
+
+LINE_CASES = [case for series, rank in (("A", 2), ("A", 3), ("A", 4), ("A", 5), ("D", 4))
+              for case in _seeded_sigmas(series, rank)]
+
+
+@functools.cache
+def _line_cone(case):
+    series, rank, sigma = case
+    return degree_cone(build_parabolic(build_root_system(series, rank), sigma))
+
+
+@st.composite
+def sample_lines(draw):
+    """A seeded parabolic and a few lattice lines in its ample cone.
+
+    Steps may have negative entries; a start is raised by what its line
+    loses on the way, so the last point, and every point, stays ample.
+    """
+    case = draw(st.sampled_from(LINE_CASES))
+    k = len(case[2])
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        count = draw(st.integers(1, 12))
+        step = draw(st.tuples(*[st.integers(-6, 6)] * k))
+        low = draw(st.tuples(*[st.integers(1, 12)] * k))
+        start = tuple(x + max(0, -(count - 1) * d) for x, d in zip(low, step))
+        lines.append((start, step, count))
+    return case, lines
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(sample_lines())
+def test_line_kernel_matches_degree_membership_at_every_point(case_lines):
+    case, lines = case_lines
+    cone = _line_cone(case)
+    for start, step, count in lines:
+        points = [tuple(a + i * d for a, d in zip(start, step)) for i in range(count)]
+        verdicts = [degree_membership(cone, h) for h in points]
+        assert _line_verdicts(cone, start, step, count) == verdicts
