@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
+from operator import add, sub
 
 from . import quiver as quiver_mod
 from .errors import BudgetExceeded, FlagQuiverError
@@ -314,35 +315,51 @@ def cmd_intersections(args):
     return EXIT_OK
 
 
-def _cone_chunks(inequalities, boundary, k):
+# a monomial of ``cone`` up to its coefficient, at its depth in the document
+_EXPS_TEXT = '{\n          "exps": [\n            %s\n          ],\n          "coeff": '
+
+
+def _exps_texts(columns):
+    """The text of each monomial up to its coefficient, from its exponent columns."""
+    digits = [map(int.__repr__, column) for column in columns]
+    return map(_EXPS_TEXT.__mod__, map(",\n            ".join, zip(*digits)))
+
+
+def _cone_chunks(cone, boundary):
     """``_dumps({"inequalities": [...], "boundary": ...})``, one inequality a chunk.
 
-    An inequality is ``{"subbundle": [...], "monomials": [{"exps": [...],
-    "coeff": c}, ...], "strict": ...}``.  Each monomial of a ``k``-variable
-    cone is written with one ``%`` template that holds its exact layout.
-    ``inequalities`` is iterated once, so a generator is written as it is
-    built.
+    ``cone`` is what ``_cone_inequalities`` returns: the table's exponent
+    tuples and the inequalities as table rows.  An inequality is
+    ``{"subbundle": [...], "monomials": [{"exps": [...], "coeff": c},
+    ...], "strict": true}``, and each monomial is the text of its row up
+    to the coefficient, then the coefficient.  The table's rows are
+    rendered once, on first use; an inequality with a shift of its own
+    renders its shifted rows itself.  The inequalities are iterated once,
+    so each is written as it is built.
     """
-    monomial = (
-        '{\n          "exps": [\n            '
-        + ",\n            ".join(["%d"] * k)
-        + '\n          ],\n          "coeff": %d\n        }'
-    )
+    exps, inequalities = cone
+    rendered = None
     yield '{\n  "inequalities": ['
     sep = "\n    "
     end = "]"
-    for iq in inequalities:
-        monomials = [monomial % (e + (c,)) for e, c in iq.polynomial.sorted_items()]
+    for subset, rows, coeffs, shift in inequalities:
+        if any(shift):
+            columns = zip(*map(exps.__getitem__, rows))
+            texts = _exps_texts(
+                map(sub, column, itertools.repeat(s)) for column, s in zip(columns, shift)
+            )
+        else:
+            if rendered is None:
+                rendered = list(_exps_texts(zip(*exps)))
+            texts = map(rendered.__getitem__, rows)
+        monomials = "\n        },\n        ".join(map(add, texts, map(int.__repr__, coeffs)))
         yield (
             sep
             + '{\n      "subbundle": '
-            + _json(iq.subbundle, "\n      ")
+            + _json(subset, "\n      ")
             + ',\n      "monomials": '
-            + ("[\n        " + ",\n        ".join(monomials) + "\n      ]"
-               if monomials else "[]")
-            + ',\n      "strict": '
-            + _json(iq.strict)
-            + "\n    }"
+            + ("[\n        " + monomials + "\n        }\n      ]" if coeffs else "[]")
+            + ',\n      "strict": true\n    }'
         )
         sep = ",\n    "
         end = "\n  ]"
@@ -409,17 +426,17 @@ def cmd_cone(args):
         chunks = _sample_csv(degree_cone(p, args.budget), k, args.grid, args.section)
         _emit(args, itertools.chain([header], chunks))
         return EXIT_OK
+    boundary = None
     if args.boundary:
-        inequalities = stability_cone(p, args.budget)
-        bounds = boundary_2d(inequalities)
+        bounds = boundary_2d(stability_cone(p, args.budget))
         boundary = {
             "lower": _surd_json(bounds.lower),
             "upper": _surd_json(bounds.upper),
             "rational_endpoint": bounds.has_rational_endpoint,
         }
-    else:
-        inequalities, boundary = _cone_inequalities(p, args.budget), None
-    _emit(args, _cone_chunks(inequalities, boundary, len(p.sigma)))
+    # a two-parameter table has at most dim rows, so writing the
+    # boundary's cone from a second table costs next to nothing
+    _emit(args, _cone_chunks(_cone_inequalities(p, args.budget), boundary))
     return EXIT_OK
 
 

@@ -1,9 +1,6 @@
 """Small exact integer multivariate polynomials (dict-of-exponents)."""
 from __future__ import annotations
 
-from math import gcd
-from operator import sub
-
 
 class IntPoly:
     """Homogeneous-friendly integer polynomial in a fixed number of variables."""
@@ -57,23 +54,6 @@ class IntPoly:
         out.nvars = nvars
         out.terms = terms
         return out
-
-    def normalized(self):
-        """Divide out the common monomial and the integer content.
-
-        The common monomial is positive wherever every variable is, so for
-        inequalities on the ample cone this preserves the sign.
-        """
-        terms = self.terms
-        if not terms:
-            return self
-        content = gcd(*terms.values())
-        shift = [min(col) for col in zip(*terms)]
-        if any(shift):
-            terms = {tuple(map(sub, exps, shift)): c for exps, c in terms.items()}
-        if content > 1:
-            terms = {exps: c // content for exps, c in terms.items()}
-        return IntPoly._from_terms(self.nvars, terms)
 
     def sorted_items(self):
         return sorted(self.terms.items())

@@ -35,35 +35,43 @@ def _exact_div(a, b):
     return q
 
 
+def _cache_key(p):
+    return (p.system.series, p.system.rank, p.sigma)
+
+
+_COSET_COUNTS = {}
+
+
 def coset_count(p):
     """|W / W_P| without enumeration, from the heights of the roots.
 
     |W| is the product of (ht alpha + 1) / ht alpha over the positive
     roots, because the heights are dual to the exponents (Kostant 1959).
     A Levi root has the same height in the Levi subsystem, so the Levi
-    factors cancel and the product runs over the nilradical roots.
+    factors cancel and the product runs over the nilradical roots.  Every
+    budget check asks for it, so it is computed once per parabolic.
     """
-    num = den = 1
-    for alpha in p.nilradical_weights:
-        height = p.system.height(alpha)
-        num *= height + 1
-        den *= height
-    return _exact_div(num, den)
+    key = _cache_key(p)
+    if key not in _COSET_COUNTS:
+        num = den = 1
+        for alpha in p.nilradical_weights:
+            height = p.system.height(alpha)
+            num *= height + 1
+            den *= height
+        _COSET_COUNTS[key] = _exact_div(num, den)
+    return _COSET_COUNTS[key]
 
 
 def _check_budget(p, budget):
     """Refuse a parabolic whose |W/W_P| exceeds the budget.
 
-    Runs before any cache lookup or expansion, so the answer does not
-    depend on what an earlier call with a larger budget has cached.
+    Runs before any lookup in the expansion caches, so the answer does
+    not depend on what an earlier call with a larger budget has cached;
+    the count it reads does not depend on the budget.
     """
     count = coset_count(p)
     if count > budget:
         raise BudgetExceeded(f"|W/W_P| = {count} exceeds the budget {budget}")
-
-
-def _cache_key(p):
-    return (p.system.series, p.system.rank, p.sigma)
 
 
 class _CosetTable:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import gcd, isqrt, prod
-from operator import mul
+from operator import floordiv, mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -101,26 +101,57 @@ def _subset_gaps(p, trep):
         yield subset, [sum(col) for col in zip(*(gaps[ci] for ci in subset))]
 
 
-def _cone_inequalities(p, budget):
-    """The inequalities of ``stability_cone``, built one at a time.
+def _normalized_sum(columns, exponents, gap):
+    """sum_pos gap[pos] * columns[pos], normalized, in whole-column passes.
 
-    The budget check and the table of partial derivatives run at the
-    call, so a refused cone raises before the first inequality is asked
-    for; each inequality is built as the result is iterated.
+    ``columns`` and ``exponents`` hold a coefficient and an exponent
+    column per variable, indexed by the table's rows.  Returns the rows
+    of the nonzero terms, their coefficients over the content, and the
+    shift (the exponentwise minimum over those rows): the rows less the
+    shift are the normalized terms, in the table's order.  A zero
+    polynomial is ``([], [], ())``.
+    """
+    scaled = [map(mul, itertools.repeat(g), col) for g, col in zip(gap, columns) if g]
+    values = list(map(sum, zip(*scaled)))
+    coeffs = list(itertools.compress(values, values))
+    if not coeffs:
+        return [], [], ()
+    rows = list(itertools.compress(range(len(values)), values))
+    content = gcd(*coeffs)
+    if content > 1:
+        coeffs = list(map(floordiv, coeffs, itertools.repeat(content)))
+    # exponents are >= 0, so a selected 0 is the minimum: most columns
+    # stop at their first selected row with a zero exponent
+    shift = tuple(
+        0 if 0 in itertools.compress(col, values) else min(itertools.compress(col, values))
+        for col in exponents
+    )
+    return rows, coeffs, shift
+
+
+def _cone_inequalities(p, budget):
+    """The inequalities of ``stability_cone`` as rows of one table.
+
+    Returns the table's exponent tuples and a generator of ``(subset,
+    rows, coeffs, shift)``, one per reduced closed subset (see
+    ``_normalized_sum``).  The exponents are those of the partial
+    derivatives, in sorted order, less their common monomial: the terms
+    of every inequality are rows of the table, so it divides them all,
+    and taking it out once leaves most inequalities with no shift of
+    their own.  The budget check and the table run at the call, so a
+    refused cone raises before the first inequality is asked for; each
+    inequality is built as the result is iterated.
     """
     qpolys = intersection_polynomial(p, p.dim - 1, budget)
-    k = len(p.sigma)
-    columns = {}
-    for pos in range(k):
-        for exps, coeff in qpolys[pos].terms.items():
-            columns.setdefault(exps, [0] * k)[pos] = coeff
-    table = sorted(columns.items())
-
-    def inequality(subset, gap):
-        terms = {e: v for e, coeffs in table if (v := sum(map(mul, gap, coeffs)))}
-        return ConeInequality(subset, IntPoly._from_terms(k, terms).normalized(), True)
-
-    return (inequality(subset, gap) for subset, gap in _subset_gaps(p, tangent_rep(p)))
+    terms = [qpolys[pos].terms for pos in range(len(p.sigma))]
+    exps = sorted(set().union(*terms))
+    columns = [list(map(t.get, exps, itertools.repeat(0))) for t in terms]
+    exponents = [list(map(sub, col, itertools.repeat(min(col)))) for col in zip(*exps)]
+    inequalities = (
+        (subset,) + _normalized_sum(columns, exponents, gap)
+        for subset, gap in _subset_gaps(p, tangent_rep(p))
+    )
+    return list(zip(*exponents)), inequalities
 
 
 def stability_cone(p, budget=DEFAULT_BUDGET):
@@ -133,11 +164,20 @@ def stability_cone(p, budget=DEFAULT_BUDGET):
     For a subbundle S of rank rk, the constraint is
     rk * deg(T) - dim * deg(S) = sum_i d_i H_i . H^(dim-1) with d the
     slope gap of S: the derivative of the volume polynomial along d, over
-    dim.  The k partial derivatives are laid out once as a table, each
-    monomial in sorted order with its k coefficients, and an inequality is
-    one pass over that table; its terms come out in sorted order.
+    dim.  The k partial derivatives are laid out once as a table of k
+    coefficient columns over the sorted monomials, and an inequality is
+    k column passes over it; its terms come out in sorted order.
     """
-    return list(_cone_inequalities(p, budget))
+    exps, inequalities = _cone_inequalities(p, budget)
+    k = len(p.sigma)
+    out = []
+    for subset, rows, coeffs, shift in inequalities:
+        keys = map(exps.__getitem__, rows)
+        if any(shift):
+            keys = (tuple(map(sub, e, shift)) for e in keys)
+        poly = IntPoly._from_terms(k, dict(zip(keys, coeffs)))
+        out.append(ConeInequality(subset, poly, True))
+    return out
 
 
 def _ample(polarization):

@@ -1,57 +1,87 @@
-"""``IntPoly.normalized`` and the cone polynomials against their oracles.
+"""The cone kernel and the cone polynomials against their oracles.
 
 ``cone_oracle.normalized`` divides variable by variable through the
-validating constructor; ``stability_cone`` must equal the term-by-term
-sum of the partial derivatives along each slope gap, normalized by it.
+validating constructor.  On random tables, the kernel
+(``stability._normalized_sum``) must agree with it on the term-by-term
+sum of the columns, and ``cli._cone_chunks`` must write the kernel's
+result as ``json.dumps`` writes the oracle's document.
+``stability_cone`` must equal the term-by-term sum of the partial
+derivatives along each slope gap, normalized by the oracle.
 """
+import json
 from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flagquiver import (
+    ConeInequality,
     IntPoly,
     borel,
     build_parabolic,
     build_root_system,
     c1_picard,
+    cli,
     closed_subsets,
     intersection_polynomial,
     stability_cone,
     tangent_rep,
 )
+from flagquiver.stability import _normalized_sum
 
-from cone_oracle import normalized
+from cone_oracle import cone_json, normalized
 from conftest import all_parabolics
 
 
 @st.composite
-def _polys(draw):
-    """A polynomial times a positive content and a common monomial."""
-    n = draw(st.integers(1, 6))
-    exps = st.tuples(*[st.integers(0, 4)] * n)
-    coeffs = st.integers(-(10**6), 10**6).filter(bool) | st.integers(-(2**70), 2**70).filter(bool)
-    terms = draw(st.dictionaries(exps, coeffs, max_size=8))
+def _tables(draw):
+    """Sorted exponent rows and k coefficient columns, with a common
+    monomial and a content drawn into every row, and a slope gap."""
+    k = draw(st.integers(1, 6))
+    shift = draw(st.tuples(*[st.integers(0, 3)] * k))
+    exps = sorted(
+        tuple(e + s for e, s in zip(x, shift))
+        for x in draw(st.sets(st.tuples(*[st.integers(0, 4)] * k), max_size=8))
+    )
+    coeffs = st.integers(-(10**6), 10**6) | st.integers(-(2**70), 2**70) | st.just(0)
     content = draw(st.sampled_from([1, 2, 6, 35]) | st.integers(1, 2**40))
-    shift = draw(st.tuples(*[st.integers(0, 3)] * n))
-    return IntPoly(n, {
-        tuple(e + s for e, s in zip(x, shift)): c * content for x, c in terms.items()
-    })
+    columns = [
+        [c * content for c in draw(st.lists(coeffs, min_size=len(exps), max_size=len(exps)))]
+        for _ in range(k)
+    ]
+    gap = draw(st.tuples(*[st.integers(-5, 5) | st.integers(-(2**64), 2**64)] * k))
+    return exps, columns, list(gap)
 
 
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
-@given(_polys())
-@example(IntPoly(3))
-@example(IntPoly(1, {(5,): -12}))
-@example(IntPoly(6, {(1, 2, 0, 0, 3, 1): 4, (1, 1, 1, 0, 3, 2): -6}))
-def test_normalized_matches_the_oracle(poly):
-    got = poly.normalized()
-    assert got == normalized(poly)
-    assert got.normalized() == got
-    if not got.is_zero:
+@given(_tables())
+# a zero gap: the empty polynomial, written as "monomials": []
+@example(([(0, 1), (1, 0)], [[3, 4], [5, 6]], [0, 0]))
+# an empty table
+@example(([], [[]], [7]))
+# content 6 and the common monomial x0 * x1^2, a negative coefficient
+@example(([(1, 2, 0), (1, 3, 1)], [[12, -18], [0, 6], [6, 0]], [1, 0, 0]))
+# coefficients past 2^63 of both signs, one cancelled row
+@example(([(0, 2), (1, 1), (2, 0)], [[2**64, 3, 2**70], [-(2**65), 0, 5]], [2, 1]))
+def test_normalized_matches_the_oracle(table):
+    exps, columns, gap = table
+    rows, coeffs, shift = _normalized_sum(columns, list(zip(*exps)), gap)
+    sums = {
+        e: sum(g * column[i] for g, column in zip(gap, columns))
+        for i, e in enumerate(exps)
+    }
+    want = normalized(IntPoly(len(columns), sums))
+    keys = [tuple(a - b for a, b in zip(exps[r], shift)) for r in rows]
+    assert rows == sorted(rows)
+    assert list(zip(keys, coeffs)) == sorted(want.terms.items())
+    if coeffs:
         # nothing is left to divide out
-        assert gcd(*got.terms.values()) == 1
-        assert all(min(col) == 0 for col in zip(*got.terms))
+        assert gcd(*coeffs) == 1
+        assert all(min(col) == 0 for col in zip(*keys))
+    inequality = ((0, 2), rows, coeffs, shift)
+    written = "".join(cli._cone_chunks((exps, [inequality]), None))
+    oracle = cone_json([ConeInequality((0, 2), want, True)])
+    assert written == json.dumps(oracle, indent=2) + "\n"
 
 
 def _cone_by_accumulation(p):

@@ -60,6 +60,26 @@ def test_coset_count_from_heights_matches_enumeration():
     assert checked == 119
 
 
+def test_budget_checks_read_the_heights_once(monkeypatch):
+    # every intersection_number checks the budget; once a parabolic's
+    # count is known, no check reads a root height again
+    system = build_root_system("A", 4)
+    calls = []
+    height = system.height
+    monkeypatch.setattr(system, "height", lambda root: calls.append(root) or height(root))
+
+    def intersections():
+        p = borel(system)
+        for exps in intersection_polynomial(p, p.dim - 1)[0].terms:
+            intersection_number(p, (exps[0] + 1,) + exps[1:])
+        return coset_count(p)
+
+    assert intersections() == 120
+    before = len(calls)
+    assert intersections() == 120
+    assert len(calls) == before
+
+
 @pytest.mark.parametrize("rank,order", [(7, 2903040), (8, 696729600)])
 def test_coset_count_of_e7_e8_borel_is_the_weyl_group_order(rank, order):
     assert coset_count(borel(build_root_system("E", rank))) == order

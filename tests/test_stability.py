@@ -342,12 +342,16 @@ def test_anticanonical_polarization_is_stable():
         assert all(x > 0 for x in anticanonical)
         assert cone_membership(cone, anticanonical) == STABLE
         assert degree_membership(degree_cone(p), anticanonical) == STABLE
-    # Borel cases whose symbolic cone is too slow for the suite
+    # Borel cases decided from the degree forms; of these only A5/B's
+    # expanded cone (38 polynomials, ~43 000 terms) is small enough for
+    # the suite
     for series, rank in [("A", 5), ("A", 6), ("D", 5), ("D", 6), ("E", 6)]:
         p = borel(build_root_system(series, rank))
         anticanonical = c1_picard(p.tangent_weights, p)
         assert anticanonical == (2,) * rank
         assert degree_membership(degree_cone(p), anticanonical) == STABLE
+        if (series, rank) == ("A", 5):
+            assert cone_membership(stability_cone(p), anticanonical) == STABLE
 
 
 def test_irreducible_tangent_gives_empty_cone():
