@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 from operator import add, sub
 
 from . import quiver as quiver_mod
-from .errors import BudgetExceeded, FlagQuiverError
+from .errors import BudgetExceeded, FlagQuiverError, NotTwoParameter
 from .parabolic import build_parabolic
 from .rootsys import build_root_system
 from .schubert import DEFAULT_BUDGET, intersection_number, volume_polynomial
@@ -36,7 +36,8 @@ EXIT_INVALID = 2
 EXIT_NOT_SIMPLE = 3
 EXIT_BUDGET = 4
 
-ALL_PARABOLICS_MAX_RANK = 6
+# `--parabolic all` lists 2^rank - 1 parabolics; rank 8 gives 255
+ALL_PARABOLICS_MAX = 255
 # Bounds the work of rank-driven commands (roots, Borel quivers); a rank in
 # the millions would not even fit its root system in memory.
 MAX_RANK = 24
@@ -101,9 +102,10 @@ def _parse_parabolic(text, system, allow_all=False):
     if text == "all":
         if not allow_all:
             raise ValueError("'all' is only supported by the simplicity command")
-        if system.rank > ALL_PARABOLICS_MAX_RANK:
-            raise ValueError(
-                f"'all' is capped at rank {ALL_PARABOLICS_MAX_RANK}"
+        count = 2**system.rank - 1
+        if count > ALL_PARABOLICS_MAX:
+            raise BudgetExceeded(
+                f"'all' lists {count} parabolics, over the cap of {ALL_PARABOLICS_MAX}"
             )
         out = []
         for size in range(1, system.rank + 1):
@@ -415,6 +417,9 @@ def cmd_cone(args):
         raise ValueError(f"argument --output: invalid choice: {args.output!r}"
                          f" (this request writes {written})")
     p = _parabolic(args)
+    if args.boundary and len(p.sigma) != 2:
+        # the arity is known before any expansion
+        raise NotTwoParameter("boundary_2d needs exactly two parameters")
     if sampled:
         k = len(p.sigma)
         count = args.grid**k if args.grid else math.comb(args.section - 1, k - 1)

@@ -1,8 +1,10 @@
 """Parabolic subgroups: Levi/nilradical split and tangent-bundle weights."""
 from __future__ import annotations
 
+from math import prod
+
 from .errors import ComponentVerificationFailed, EmptySigma
-from .rootsys import _weyl_dimension, coroot_pairing
+from .rootsys import _dot2, coroot_pairing
 
 
 class ParabolicData:
@@ -24,17 +26,20 @@ class ParabolicData:
         self.levi_simple_indices = tuple(
             i for i in range(1, system.rank + 1) if i not in sigma
         )
-        levi_pos, nilrad, degrees = [], [], []
-        for r in system.positive_roots:
+        levi_pos, nilrad, degrees, positions = [], [], [], []
+        for k, r in enumerate(system.positive_roots):
             exp = system.expansion(r)
             degree = tuple(exp[i - 1] for i in sigma)
             if any(degree):
                 nilrad.append(r)
                 degrees.append(degree)
+                positions.append(k)
             else:
                 levi_pos.append(r)
         self.levi_positive = tuple(levi_pos)
         self.nilradical_weights = tuple(nilrad)
+        # positions in system.positive_roots, which index its root tables
+        self.nilradical_indices = tuple(positions)
         # coefficients on the marked simple roots, aligned with the above
         self.marked_degrees = tuple(degrees)
         self.tangent_weights = tuple(-r for r in nilrad)
@@ -91,21 +96,6 @@ def is_levi_dominant(lam, p):
     )
 
 
-def _levi_weyl_dimension(p, highest):
-    """Weyl dimension of a Levi highest-weight module, exactly."""
-    # twice rho of the Levi, so the highest weight is doubled too
-    s2l = [0] * p.system.ambient_dim
-    for g in p.levi_positive:
-        for k, c in enumerate(g.coords2):
-            s2l[k] += c
-    dim = _weyl_dimension([2 * a for a in highest.coords2], s2l, p.levi_positive)
-    if dim.denominator != 1 or dim <= 0:
-        raise ComponentVerificationFailed(
-            f"Levi Weyl dimension of {highest} is not a positive integer"
-        )
-    return int(dim)
-
-
 def levi_components(p):
     """Partition of the tangent weights into Levi-irreducible components.
 
@@ -115,28 +105,45 @@ def levi_components(p):
     subgroups*, 1990).  Each group is then verified to have a unique
     Levi-maximal weight whose Levi Weyl dimension matches the group size.
     Fails loudly otherwise.
+
+    Both checks run on root indices and integers.  ``-alpha_s`` is
+    Levi-maximal iff no Levi root ``g`` has ``alpha_s - g`` a root, that is
+    iff ``parts[s]`` of the root tables holds no Levi root.  The Weyl
+    dimension of the top ``t`` is the product of ``<t + rho_L, g> /
+    <rho_L, g>`` over the Levi positive roots, with ``<rho_L, g>`` the
+    height of ``g``; numerator and denominator are integer products.
     """
+    system = p.system
+    parts = system._root_tables().parts
+    nil = 0
+    for i in p.nilradical_indices:
+        nil |= 1 << i
+    levi = ((1 << len(system.positive_roots)) - 1) ^ nil
     groups = {}
-    for degree, w in zip(p.marked_degrees, p.tangent_weights):
-        groups.setdefault(degree, []).append(w)
+    for i, degree, w in zip(p.nilradical_indices, p.marked_degrees, p.tangent_weights):
+        groups.setdefault(degree, []).append((i, w))
+    levi_roots = [(g.coords2, system.height(g)) for g in p.levi_positive]
+    den = prod(h for _, h in levi_roots)
 
     components = []
     for degree, members in groups.items():
-        member_set = set(members)
-        maximal = [
-            w
-            for w in members
-            if all((w + g) not in member_set for g in p.levi_positive)
-        ]
+        weights = [w for _, w in members]
+        maximal = [w for i, w in members if not parts[i] & levi]
         if len(maximal) != 1:
             raise ComponentVerificationFailed(
-                f"component {members} has {len(maximal)} Levi-maximal weights"
+                f"component {weights} has {len(maximal)} Levi-maximal weights"
             )
         top = maximal[0]
-        if _levi_weyl_dimension(p, top) != len(members):
+        # <t, g> is (2t . 2g) / 4 in doubled coordinates
+        num = prod(h + _dot2(top.coords2, g) // 4 for g, h in levi_roots)
+        dim, rest = divmod(num, den)
+        if rest or dim <= 0:
             raise ComponentVerificationFailed(
-                f"component of {top} has size {len(members)} but Weyl dimension "
-                f"{_levi_weyl_dimension(p, top)}"
+                f"Levi Weyl dimension of {top} is not a positive integer"
             )
-        components.append(LeviComponent(members, top, degree))
+        if dim != len(members):
+            raise ComponentVerificationFailed(
+                f"component of {top} has size {len(members)} but Weyl dimension {dim}"
+            )
+        components.append(LeviComponent(weights, top, degree))
     return tuple(components)

@@ -1,6 +1,7 @@
 """Finite induced subquivers, their relations, and the flatness check."""
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -47,12 +48,22 @@ class QuiverRep:
 
     def __init__(self, quiver, dims, maps):
         self.quiver = quiver
-        self.dims = tuple(int(d) for d in dims)
+        self.dims = tuple(map(int, dims))
         if len(self.dims) != len(quiver.vertices):
             raise ValueError("dims length must match the vertex count")
         self.maps = dict(maps)
-        for k, m in self.maps.items():
-            a = quiver.arrows[k]
+        # a key that names no arrow raises IndexError here
+        ends = list(map(quiver.arrows.__getitem__, self.maps))
+        values = self.maps.values()
+        # when every vertex has dimension 1, the shapes are right iff every
+        # map is one row of one entry: three passes over all of them
+        if (
+            {1} >= set(self.dims)
+            and {1} >= set(map(len, values))
+            and {1} >= set(map(len, map(itemgetter(0), values)))
+        ):
+            return
+        for (k, m), a in zip(self.maps.items(), ends):
             if len(m) != self.dims[a.dst] or any(
                 len(row) != self.dims[a.src] for row in m
             ):
@@ -129,29 +140,33 @@ class RelationInstance(NamedTuple):
     bracket_arrow: int | None
 
 
+def _arrows_by_label(q):
+    """The nilradical of ``q``'s parabolic as root indices, and per vertex
+    ``{label root index: arrow index}`` of its arrows with such a label."""
+    index = q.parabolic.system._root_tables().index
+    nil = set(q.parabolic.nilradical_indices)
+    out = [{} for _ in q.vertices]
+    for k, a in enumerate(q.arrows):
+        label = index.get(a.label.coords2)
+        if label in nil:
+            out[a.src][label] = k
+    return nil, out
+
+
 def _relations(q, sources):
     """Relations at the given sources with at least one term in the quiver.
 
     Labels are positive-root indices, and only nilradical pairs count.  A
     source's pairs are read off its terms: each two-step path ``alpha``
     then ``beta`` gives the pair of its labels, and each arrow gives the
-    pairs whose nonzero bracket it carries (from the root system's pair
-    table).  They are visited in pair order, and their sum and Chevalley
-    constant come from the same table.
+    pairs whose nonzero bracket it carries (``brackets`` of the root
+    system's tables).  They are visited in pair order, and their sum and
+    Chevalley constant come from the pair table.
     """
     system = q.parabolic.system
     tables = system._root_tables()
-    nil = {tables.index[a.coords2] for a in q.parabolic.nilradical_weights}
-    brackets = {}
-    for (i, j), (s, _) in tables.sums.items():
-        if i in nil and j in nil:
-            brackets.setdefault(s, []).append((i, j))
-    # the arrows leaving each vertex, and each arrow's target, by label
-    out = [{} for _ in q.vertices]
-    for k, a in enumerate(q.arrows):
-        label = tables.index.get(a.label.coords2)
-        if label in nil:
-            out[a.src][label] = k
+    nil, out = _arrows_by_label(q)
+    # the arrows leaving each arrow's target, by label
     out_of = [out[a.dst] for a in q.arrows]
     roots = system.positive_roots
 
@@ -159,7 +174,9 @@ def _relations(q, sources):
         here = out[src]
         pairs = set()
         for first, k in here.items():
-            pairs.update(brackets.get(first, ()))
+            pairs.update(
+                (i, j) for i, j, _ in tables.brackets[first] if i in nil and j in nil
+            )
             pairs.update(
                 (first, second) if first < second else (second, first)
                 for second in out_of[k]
@@ -207,24 +224,57 @@ def verify_flatness(rep):
     map, or with an empty map at a zero-dimensional end, has scalar 0, and
     so has a path through a missing arrow.  Requires a FULL-mode quiver
     and a multiplicity-free rep.
+
+    Each source sums its terms into one integer per pair: every two-step
+    path adds its product to the pair of its labels, and every arrow
+    subtracts ``n`` times its scalar from each pair whose bracket it
+    carries (``brackets`` of the root tables).  Terms with a zero scalar
+    change nothing, so a violation is a pair with a nonzero sum, and the
+    first one in pair order is reported, as ``relation_instances`` orders
+    them.
     """
     q = rep.quiver
     if q.mode != FULL:
         raise ModeMismatch("flatness requires a FULL-mode quiver")
     if any(rep.dims[v] != 1 for v in rep.support):
         raise NotMultiplicityFree("flatness requires all dims equal to 1")
+    system = q.parabolic.system
+    roots = system.positive_roots
+    brackets = system._root_tables().brackets
+    nil, out = _arrows_by_label(q)
     scalar = [0] * len(q.arrows)
     for k, m in rep.maps.items():
         if m and m[0]:
             scalar[k] = m[0][0]
+    # the arrows leaving each arrow's target, with their scalars
+    after = [
+        [(second, scalar[k2]) for second, k2 in out[a.dst].items() if scalar[k2]]
+        for a in q.arrows
+    ]
+    size = len(roots)
 
-    def composite(path):
-        return 0 if path is None else scalar[path[0]] * scalar[path[1]]
-
-    for r in _relations(q, rep.support):
-        bracket = 0 if r.bracket_arrow is None else r.chevalley * scalar[r.bracket_arrow]
-        if composite(r.path_via_beta) - composite(r.path_via_alpha) - bracket:
-            return FlatnessResult(False, (q.vertices[r.source], r.alpha, r.beta))
+    for src in rep.support:
+        # pair (i, j), i < j, as the integer i * size + j
+        value = {}
+        for first, k in out[src].items():
+            x = scalar[k]
+            if not x:
+                continue
+            for i, j, n in brackets[first]:
+                if i in nil and j in nil:
+                    pair = i * size + j
+                    value[pair] = value.get(pair, 0) - n * x
+            for second, y in after[k]:
+                if first < second:  # the path via alpha
+                    pair = first * size + second
+                    value[pair] = value.get(pair, 0) - x * y
+                elif second < first:  # the path via beta
+                    pair = second * size + first
+                    value[pair] = value.get(pair, 0) + x * y
+        violated = [pair for pair, v in value.items() if v]
+        if violated:
+            i, j = divmod(min(violated), size)
+            return FlatnessResult(False, (q.vertices[src], roots[i], roots[j]))
     return FlatnessResult(True, None)
 
 

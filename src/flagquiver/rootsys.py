@@ -220,12 +220,17 @@ class _RootTables(NamedTuple):
     ``index`` maps doubled coordinates to the index.  ``sums`` maps each
     pair ``(i, j)`` with ``i < j`` whose sum is a root to ``(s, n)``: the
     index ``s`` of ``alpha_i + alpha_j`` and their Chevalley constant ``n``;
-    every other pair has no bracket.  ``dominant_pairs`` lists the
-    ``(i, j)`` with ``alpha_i - alpha_j`` dominant.
+    every other pair has no bracket.  ``brackets[s]`` lists the same pairs
+    by their sum, as ``(i, j, n)`` in pair order, and ``parts[s]`` is the
+    bitmask of the roots in them: bit ``i`` is set iff ``alpha_s - alpha_i``
+    is a positive root.  ``dominant_pairs`` lists the ``(i, j)`` with
+    ``alpha_i - alpha_j`` dominant.
     """
 
     index: dict
     sums: dict
+    brackets: tuple
+    parts: tuple
     dominant_pairs: tuple
 
 
@@ -239,6 +244,11 @@ def _build_root_tables(system):
             s = index.get(tuple(map(add, alpha.coords2, beta.coords2)))
             if s is not None:
                 sums[i, j] = (s, chevalley_constant(alpha, beta))
+    brackets = [[] for _ in roots]
+    parts = [0] * len(roots)
+    for (i, j), (s, n) in sums.items():
+        brackets[s].append((i, j, n))
+        parts[s] |= 1 << i | 1 << j
     pairings = [r.fundamental for r in roots]
     dominant = tuple(
         (i, j)
@@ -246,7 +256,7 @@ def _build_root_tables(system):
         for j, fj in enumerate(pairings)
         if all(map(ge, fi, fj))
     )
-    return _RootTables(index, sums, dominant)
+    return _RootTables(index, sums, tuple(map(tuple, brackets)), tuple(parts), dominant)
 
 
 _SYSTEM_CACHE = {}

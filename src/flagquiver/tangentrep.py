@@ -1,6 +1,8 @@
 """Tangent-bundle quiver representations and the simplicity certificate."""
 from __future__ import annotations
 
+from itertools import chain, compress, repeat
+from operator import add, and_, getitem, or_, sub
 from typing import NamedTuple
 
 from .errors import NotMultiplicityFree
@@ -38,39 +40,124 @@ class SimplicityReport(NamedTuple):
     verdict: str
 
 
+# root system -> its Borel tangent quiver as integer rows; see _borel_arrows
+_BOREL_ARROWS = {}
+
+_ONE = ((1,),)
+
+
+class _BorelArrows(NamedTuple):
+    """The tangent quiver of the Borel, as parallel columns over its arrows.
+
+    Vertex ``i`` is ``-alpha_i``, so vertex and positive-root indices agree.
+    An arrow runs from ``src`` to ``dst`` along the root ``label``, with the
+    1x1 map ``((scalar,),)``; ``weights`` holds each arrow's label as a
+    ``Weight`` and ``maps`` its map.  The rows keep ``induced_quiver``'s
+    order: by source, then by label.
+    """
+
+    borel: object
+    src: tuple
+    dst: tuple
+    label: tuple
+    weights: tuple
+    maps: tuple
+
+
+def _borel_arrows(system):
+    """The Borel tangent quiver of ``system``, found once per root system.
+
+    An arrow with label alpha_a runs from -alpha_j to -alpha_b, where
+    alpha_j = alpha_a + alpha_b.  Its scalar N(alpha_a, -alpha_j) is
+    -N(alpha_a, alpha_b): the sign function is bimultiplicative, depends on
+    a root only mod 2, and is -1 on (alpha, alpha).
+    """
+    table = _BOREL_ARROWS.get(system)
+    if table is None:
+        b = borel(system)
+        arrows = induced_quiver(b, b.tangent_weights, FULL).arrows
+        tables = system._root_tables()
+        dst = tuple(a.dst for a in arrows)
+        label = tuple(tables.index[a.label.coords2] for a in arrows)
+        maps = {1: _ONE, -1: ((-1,),)}
+        table = _BOREL_ARROWS[system] = _BorelArrows(
+            b,
+            tuple(a.src for a in arrows),
+            dst,
+            label,
+            tuple(a.label for a in arrows),
+            tuple(
+                maps[-tables.sums[a, d][1] if a < d else tables.sums[d, a][1]]
+                for a, d in zip(label, dst)
+            ),
+        )
+    return table
+
+
 def tangent_rep(p):
-    """Quiver representation of the (pulled-back) tangent bundle of G/P."""
+    """Quiver representation of the (pulled-back) tangent bundle of G/P.
+
+    The Borel-level quiver is the Borel tangent quiver of the root system
+    (``_borel_arrows``, searched by ``induced_quiver`` once per root system
+    and kept in ``_BOREL_ARROWS``) restricted to the nilradical of ``p``:
+    an arrow is kept when both of its ends are nilradical roots.  Vertices
+    are renumbered by their position among the nilradical roots, which is
+    monotone, so the arrows keep the (source, label) order of a direct
+    ``induced_quiver`` search on ``p.tangent_weights``.
+
+    The Levi-level quiver is the quotient by the Levi components.  A label
+    of marked degree zero keeps an arrow inside its component and any other
+    label leaves it, so the Levi arrows are the nilradical-labelled Borel
+    arrows, and each pair of components gets the label of the first arrow
+    joining them.
+    """
     system = p.system
-    tables = system._root_tables()
-    bq = induced_quiver(borel(system), p.tangent_weights, FULL)
-    # An arrow with label alpha_a runs from -alpha_j to -alpha_b, where
-    # alpha_j = alpha_a + alpha_b.  Its scalar N(alpha_a, -alpha_j) is
-    # -N(alpha_a, alpha_b): the sign function is bimultiplicative, depends
-    # on a root only mod 2, and is -1 on (alpha, alpha).
-    root_of = [tables.index[r.coords2] for r in p.nilradical_weights]
-    maps = {}
-    for k, arrow in enumerate(bq.arrows):
-        a, b = tables.index[arrow.label.coords2], root_of[arrow.dst]
-        n = tables.sums[a, b][1] if a < b else -tables.sums[b, a][1]
-        maps[k] = ((-n,),)
+    table = _borel_arrows(system)
+    roots = len(system.positive_roots)
+    # vertex of each nilradical root, and the nilradical as a 0/1 column
+    vertex = [0] * roots
+    nil = bytearray(roots)
+    for i, r in enumerate(p.nilradical_indices):
+        vertex[r] = i
+        nil[r] = 1
+    keep = list(map(and_, map(nil.__getitem__, table.src), map(nil.__getitem__, table.dst)))
+    src = list(compress(table.src, keep))
+    dst = list(compress(table.dst, keep))
+    weights = list(compress(table.weights, keep))
+    # tuple.__new__ makes each Arrow without a Python-level call
+    arrows = list(map(
+        tuple.__new__,
+        repeat(Arrow),
+        zip(map(vertex.__getitem__, src), map(vertex.__getitem__, dst), weights),
+    ))
+    bq = InducedQuiver(p.tangent_weights, arrows, FULL, table.borel)
+    maps = dict(enumerate(compress(table.maps, keep)))
     rep = QuiverRep(bq, (1,) * len(bq.vertices), maps)
 
-    # the quotient by the components: Borel arrows run in tangent order, then
-    # root order, and only nilradical labels change the marked degree
     comps = levi_components(p)
+    size = len(comps)
     comp_index = {c.degree: ci for ci, c in enumerate(comps)}
-    comp_of = [comp_index[d] for d in p.marked_degrees]
-    first = {}
-    for a in bq.arrows:
-        ci, cj = comp_of[a.src], comp_of[a.dst]
-        if ci != cj:
-            first.setdefault((ci, cj), a.label)
-    arrows = [Arrow(ci, cj, label) for (ci, cj), label in sorted(first.items())]
+    comp = [0] * roots
+    for r, degree in zip(p.nilradical_indices, p.marked_degrees):
+        comp[r] = comp_index[degree]
+    leaves = list(map(nil.__getitem__, compress(table.label, keep)))
+    # the pair of components (ci, cj) as the integer ci * size + cj
+    pairs = list(map(
+        add,
+        map(size.__mul__, map(comp.__getitem__, compress(src, leaves))),
+        map(comp.__getitem__, compress(dst, leaves)),
+    ))
+    labels = list(compress(weights, leaves))
+    # read backwards, a later arrow's label is overwritten by an earlier one
+    first = dict(zip(pairs[::-1], labels[::-1]))
+    levi_arrows = [
+        Arrow(*divmod(pair, size), first[pair]) for pair in sorted(first)
+    ]
     levi_quiver = InducedQuiver(
-        tuple(c.highest_weight for c in comps), arrows, FULL, p
+        tuple(c.highest_weight for c in comps), levi_arrows, FULL, p
     )
     levi_rep = QuiverRep(
-        levi_quiver, (1,) * len(comps), {k: ((1,),) for k in range(len(arrows))}
+        levi_quiver, (1,) * len(comps), dict.fromkeys(range(len(levi_arrows)), _ONE)
     )
     return TangentRep(rep, levi_rep, comps, p)
 
@@ -78,8 +165,8 @@ def tangent_rep(p):
 def structure_report(rep):
     """(multiplicity free, number of connected components) of the support."""
     multiplicity_free = all(rep.dims[i] == 1 for i in rep.support)
-    succ = _nonzero_successors(rep)
-    nbrs = _neighbour_masks(succ)
+    succ, pred = _nonzero_successors(rep)
+    nbrs = list(map(or_, succ, pred))
     rest = (1 << len(nbrs)) - 1
     components = 0
     while rest:
@@ -101,22 +188,28 @@ def hom_dimension(rep):
 
 
 def _nonzero_successors(rep):
-    succ = {v: set() for v in rep.support}
-    for k, a in enumerate(rep.quiver.arrows):
-        if a.src in succ and a.dst in succ and rep.map_is_nonzero(k):
-            succ[a.src].add(a.dst)
-    return succ
+    """Successor and predecessor masks of the support along nonzero arrows.
 
-
-def _neighbour_masks(succ):
-    """Undirected adjacency of a successor map, as bitmasks over its keys."""
-    pos = {v: i for i, v in enumerate(succ)}
-    nbrs = [0] * len(succ)
-    for v, ws in succ.items():
-        for w in ws:
-            nbrs[pos[v]] |= 1 << pos[w]
-            nbrs[pos[w]] |= 1 << pos[v]
-    return nbrs
+    Bit ``b`` stands for the support vertex at position ``n - 1 - b``, so
+    the largest vertex is bit 0: the layout ``closed_subsets`` sorts in.
+    The maps are read once, and an arrow without one is zero.
+    """
+    support = rep.support
+    n = len(support)
+    # a vertex off the support has the bit 0 at the spare position n
+    position = [n] * len(rep.dims)
+    single = [0] * len(rep.dims)
+    for i, v in enumerate(support):
+        position[v] = n - 1 - i
+        single[v] = 1 << n - 1 - i
+    succ = [0] * (n + 1)
+    pred = [0] * (n + 1)
+    maps = rep.maps
+    nonzero = compress(maps, map(any, map(chain.from_iterable, maps.values())))
+    for src, dst, _ in map(rep.quiver.arrows.__getitem__, nonzero):
+        succ[position[src]] |= single[dst]
+        pred[position[dst]] |= single[src]
+    return succ[:n], pred[:n]
 
 
 def _component(start, inside, nbrs):
@@ -133,21 +226,73 @@ def _component(start, inside, nbrs):
     return seen
 
 
-def _topological_order(succ):
-    """Kahn's order of an acyclic successor map: arrows point to later vertices."""
-    indegree = dict.fromkeys(succ, 0)
-    for ws in succ.values():
-        for w in ws:
-            indegree[w] += 1
-    order = [v for v in succ if not indegree[v]]
-    for v in order:
-        for w in succ[v]:
-            indegree[w] -= 1
-            if not indegree[w]:
-                order.append(w)
+def _topological_order(succ, pred):
+    """Kahn's order of an acyclic graph on bits, the lowest free bit first.
+
+    Bit 0 is the largest vertex, so the largest free vertex goes first.
+    Every arrow points from an earlier bit of the order to a later one.
+    """
+    indegree = [p.bit_count() for p in pred]
+    free = 0
+    for b, d in enumerate(indegree):
+        if not d:
+            free |= 1 << b
+    order = []
+    while free:
+        low = free & -free
+        free ^= low
+        b = low.bit_length() - 1
+        order.append(b)
+        out = succ[b]
+        while out:
+            low = out & -out
+            out ^= low
+            c = low.bit_length() - 1
+            indegree[c] -= 1
+            if not indegree[c]:
+                free |= low
     if len(order) != len(succ):
         raise ValueError("closed subsets require an acyclic quiver")
     return order
+
+
+def _bit_mapper(targets):
+    """The map of masks sending bit ``i`` to bit ``targets[i]``, by bytes."""
+    tables = []
+    for base in range(0, len(targets), 8):
+        table = [0]
+        for t in targets[base:base + 8]:
+            table += [entry | 1 << t for entry in table]
+        tables.append(table)
+    width = len(tables)
+
+    def rekey(mask):
+        # the images of distinct bits are distinct, so the sum is their union
+        return sum(map(getitem, tables, mask.to_bytes(width, "little")))
+
+    return rekey
+
+
+def _byte_tables(support):
+    """Tuple tables for a mask whose bit ``b`` is ``support[n - 1 - b]``.
+
+    One table per byte of the mask, most significant first.  Entry ``v``
+    holds the vertices of the set bits of the byte value ``v`` in
+    increasing order, so joining the entries of a mask's bytes, read
+    big-endian, lists its vertices in increasing order.
+    """
+    n = len(support)
+    width = (n + 7) // 8
+    tables = []
+    for t in range(width):
+        base = 8 * (width - 1 - t)
+        table = [()]
+        # each higher bit is a smaller vertex, so it goes in front
+        for b in range(base, min(base + 8, n)):
+            vertex = (support[n - 1 - b],)
+            table += [vertex + entry for entry in table]
+        tables.append(table)
+    return tables
 
 
 def closed_subsets(rep, reduce=False):
@@ -157,14 +302,29 @@ def closed_subsets(rep, reduce=False):
     representation.  With ``reduce`` set, subsets that split as a disjoint
     union of two smaller closed subsets (equivalently, whose induced graph
     is disconnected) are dropped: their slope constraint is a mediant of
-    the parts' and therefore redundant.
+    the parts' and therefore redundant.  The sets come as sorted tuples,
+    ordered by size and then as tuples.
 
-    Sets are bitmasks over a topological order.  The walk splits the
-    candidates ``inside`` on their lowest vertex v, which has no
-    predecessor among them: closed subsets without v, and those holding
-    ``reach[v] & inside``, the descendants of v among the candidates.
-    Dropping a source or a successor-closed part keeps every path between
-    the remaining candidates inside them, so that is the closure of v.
+    Sets are bitmasks with bit ``b`` for the support vertex at position
+    ``n - 1 - b``.  In that layout the output order is an integer order:
+    popcount ascending, then mask descending.  Of two sets of one size,
+    the smaller tuple holds the least vertex of their symmetric difference,
+    which is its highest differing bit.  So the masks are sorted as plain
+    integers, and each is read into its tuple a byte at a time from tables
+    whose entries are already sorted (``_byte_tables``).
+
+    The walk runs over Kahn's topological order with the largest free
+    vertex first.  Every arrow of a tangent rep points to a lower vertex,
+    so there that order is the bit layout itself.  Any other acyclic rep is
+    walked in its own order, and its masks are then mapped to the layout a
+    byte at a time (``_bit_mapper``) before the same sort.
+
+    The walk splits the candidates ``inside`` on their first vertex v in
+    that order, which has no predecessor among them: closed subsets without
+    v, and those holding ``reach[v] & inside``, the descendants of v among
+    the candidates.  Dropping a source or a successor-closed part keeps
+    every path between the remaining candidates inside them, so that is
+    the closure of v.
 
     A closed set is the union of ``reach[v]`` over the vertices v it was
     split on, and each of those masks is connected.  An arrow from one mask
@@ -173,15 +333,27 @@ def closed_subsets(rep, reduce=False):
     """
     if any(rep.dims[v] != 1 for v in rep.support):
         raise NotMultiplicityFree("closed subsets require all dims equal to 1")
-    succ = _nonzero_successors(rep)
-    order = _topological_order(succ)
-    pos = {v: i for i, v in enumerate(order)}
-    reach = [0] * len(order)
-    for i in reversed(range(len(order))):
-        reach[i] = 1 << i
-        for w in succ[order[i]]:
-            reach[i] |= reach[pos[w]]
-    full = (1 << len(order)) - 1
+    succ, pred = _nonzero_successors(rep)
+    order = _topological_order(succ, pred)
+    n = len(order)
+    to_layout = None
+    if order != list(range(n)):
+        position = [0] * n
+        for i, b in enumerate(order):
+            position[b] = i
+        to_walk = _bit_mapper(position)
+        succ = [to_walk(succ[b]) for b in order]
+        to_layout = _bit_mapper(order)
+    reach = [0] * n
+    for i in reversed(range(n)):
+        mask = 1 << i
+        out = succ[i]
+        while out:
+            low = out & -out
+            out ^= low
+            mask |= reach[low.bit_length() - 1]
+        reach[i] = mask
+    full = (1 << n) - 1
     sets = []
     # parts: the reach masks of the chosen sources, merged where they meet
     stack = [(full, 0, ())]
@@ -204,22 +376,20 @@ def closed_subsets(rep, reduce=False):
             merged.append(joined)
         stack.append((inside ^ closure, chosen | closure, merged))
         stack.append((inside & (inside - 1), chosen, parts))
-    # the vertices of every value of each 4-bit nibble of a mask
-    nibbles = []
-    for k in range(0, len(order), 4):
-        table = [()]
-        for v in order[k:k + 4]:
-            table += [t + (v,) for t in table]
-        nibbles.append(table)
+    if to_layout is not None:
+        sets = list(map(to_layout, sets))
+    # popcount ascending, then mask descending, as one integer each
+    for i, s in enumerate(sets):
+        sets[i] = s.bit_count() << n | full ^ s
+    sets.sort(reverse=True)
+    tables = _byte_tables(rep.support)
+    width = len(tables)
     out = []
-    for s in sets:
-        members = []
-        for table in nibbles:
-            members += table[s & 15]
-            s >>= 4
-        members.sort()
-        out.append(tuple(members))
-    return sorted(out, key=lambda t: (len(t), t))
+    # popping frees each key before the next tuple is made
+    while sets:
+        s = sets.pop() & full ^ full
+        out.append(tuple(chain.from_iterable(map(getitem, tables, s.to_bytes(width, "big")))))
+    return out
 
 
 def dominant_sum_check(p):
@@ -235,12 +405,14 @@ def dominant_sum_check(p):
     root (Stembridge, *The partial order of dominant weights*, 1998), so
     that table is the diagonal and the set is {0}.
     """
-    tables = p.system._root_tables()
-    nil = {tables.index[a.coords2] for a in p.nilradical_weights}
-    roots = p.system.positive_roots
-    return frozenset(
-        roots[i] - roots[j] for i, j in tables.dominant_pairs if i in nil and j in nil
-    )
+    nil = set(p.nilradical_indices)
+    roots = [r.coords2 for r in p.system.positive_roots]
+    sums = {
+        tuple(map(sub, roots[i], roots[j]))
+        for i, j in p.system._root_tables().dominant_pairs
+        if i in nil and j in nil
+    }
+    return frozenset(map(p.system.weight, sums))
 
 
 def verdict_for(multiplicity_free, components, dominant_sums, zero_weight):

@@ -204,6 +204,25 @@ def test_simplicity_all_parabolics_a3(capsys):
     assert all(row["verdict"] == "SIMPLE" for row in rows)
 
 
+def test_simplicity_all_is_capped_by_its_count(capsys):
+    # rank 7 lists 127 parabolics and rank 8 the cap, 255
+    code, out, _ = run_cli(
+        capsys,
+        ["simplicity", "--series", "A", "--rank", "7", "--parabolic", "all",
+         "--output", "json"],
+    )
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 127
+    assert all(row["verdict"] == "SIMPLE" for row in rows)
+    assert cli.ALL_PARABOLICS_MAX == 2**8 - 1
+    code, out, err = run_cli(
+        capsys, ["simplicity", "--series", "A", "--rank", "9", "--parabolic", "all"]
+    )
+    assert (code, out) == (4, "")
+    assert err == "error: 'all' lists 511 parabolics, over the cap of 255\n"
+
+
 def test_simplicity_regression_exit_code(capsys, monkeypatch):
     from flagquiver.tangentrep import SimplicityReport
 
@@ -442,6 +461,27 @@ def test_unwritable_out_is_invalid_input(tmp_path, capsys, target):
     assert out == ""
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "series,rank,parabolic", [("A", 3, "borel"), ("E", 6, "borel"), ("A", 1, "borel"),
+                              ("A", 3, "2")],
+)
+def test_boundary_is_refused_by_arity_before_any_expansion(
+    capsys, monkeypatch, series, rank, parabolic
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cone was computed")
+
+    monkeypatch.setattr(cli, "stability_cone", refuse)
+    monkeypatch.setattr(cli, "_cone_inequalities", refuse)
+    code, out, err = run_cli(
+        capsys,
+        ["cone", "--series", series, "--rank", str(rank), "--parabolic", parabolic,
+         "--boundary", "--budget", "1"],
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: boundary_2d needs exactly two parameters\n"
 
 
 @pytest.mark.parametrize("target", ["missing/dir/cone.json", "."])

@@ -1,6 +1,7 @@
 import pytest
 
 from flagquiver import (
+    ComponentVerificationFailed,
     EmptySigma,
     borel,
     build_parabolic,
@@ -190,3 +191,20 @@ def test_marked_degrees_match_the_root_expansions():
         assert degree_cone(p).forms == tuple(
             _marked_coefficients(p, -c.highest_weight) for c in comps
         ), p
+
+
+def test_levi_components_refuse_groupings_that_are_not_irreducible():
+    # A3{1,3} with every weight in one group: -a1, -a3 and -(a1+a2+a3) are
+    # all Levi-maximal, since a2 is the only Levi root
+    p = build_parabolic(build_root_system("A", 3), (1, 3))
+    p.marked_degrees = ((1,),) * p.dim
+    with pytest.raises(ComponentVerificationFailed, match="3 Levi-maximal weights"):
+        levi_components(p)
+    # A3{2} split by the coefficient of a3: {-a2, -(a1+a2)} has the unique
+    # top -a2, whose module under the Levi A1 x A1 has dimension 4
+    p = build_parabolic(build_root_system("A", 3), (2,))
+    p.marked_degrees = tuple(
+        (1 + p.system.expansion(r)[2],) for r in p.nilradical_weights
+    )
+    with pytest.raises(ComponentVerificationFailed, match="size 2 but Weyl dimension 4"):
+        levi_components(p)

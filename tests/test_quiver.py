@@ -300,3 +300,21 @@ def test_dot_export_shape_and_determinism():
     assert dot.count("label=") == 12  # 6 nodes + 6 edges
     assert dot.count("->") == 6
     assert dot.startswith("digraph")
+
+
+def test_quiver_rep_refuses_wrong_dims_shapes_and_keys():
+    b = borel(build_root_system("A", 2))
+    q = induced_quiver(b, b.tangent_weights, FULL)
+    # vertex 2 is -(a1+a2); its arrows reach vertex 1 (label a1) and 0 (a2)
+    assert [(a.src, a.dst) for a in q.arrows] == [(2, 1), (2, 0)]
+    with pytest.raises(ValueError, match="dims length"):
+        QuiverRep(q, (1, 1), {})
+    for bad in ((), ((),), ((1, 0),), ((1,), (0,))):
+        with pytest.raises(ValueError, match="arrow 1 has the wrong shape"):
+            QuiverRep(q, (1, 1, 1), {0: ((1,),), 1: bad})
+    with pytest.raises(IndexError):
+        QuiverRep(q, (1, 1, 1), {2: ((1,),)})
+    with pytest.raises(ValueError, match="arrow 0 has the wrong shape"):
+        QuiverRep(q, (1, 1, 2), {0: ((1,),)})
+    assert QuiverRep(q, (1, 1, 2), {0: ((1, 0),), 1: ((0, 1),)}).dims == (1, 1, 2)
+    assert QuiverRep(q, (0, 1, 1), {0: ((1,),), 1: ()}).maps[1] == ()

@@ -179,6 +179,14 @@ def test_root_sum_table_matches_weight_arithmetic(series, rank):
             expected[i, j] = (roots.index(s), chevalley_constant(roots[i], roots[j]))
     assert tables.sums == expected
     assert list(tables.sums) == sorted(tables.sums)
+    # the same pairs listed by their sum, and the i with alpha_s - alpha_i positive
+    positive = set(roots)
+    for s, root in enumerate(roots):
+        pairs = [(i, j) for i, j in combinations(range(len(roots)), 2)
+                 if roots[i] + roots[j] == root]
+        assert tables.brackets[s] == tuple((i, j, expected[i, j][1]) for i, j in pairs)
+        below = [i for i, r in enumerate(roots) if root - r in positive]
+        assert tables.parts[s] == sum(1 << i for i in below)
 
 
 @pytest.mark.parametrize("series,rank", [("A", 3), ("D", 4)])

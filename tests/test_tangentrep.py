@@ -1,7 +1,8 @@
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flagquiver import (
@@ -250,6 +251,63 @@ def test_closed_subsets_match_brute_force_on_random_dags(rep):
 @given(dag_reps())
 def test_hom_dimension_matches_oracle_on_random_dags(rep):
     assert hom_dimension(rep) == oracle_hom_dimension(rep)
+
+
+@st.composite
+def unordered_reps(draw):
+    """One-dimensional reps on at most 12 vertices, acyclic, with some
+    nonzero arrow from a lower to a higher vertex (so the reverse vertex
+    order is not topological), zero maps and zero-dimensional vertices."""
+    n = draw(st.integers(2, 12))
+    order = draw(st.permutations(range(n)))
+    ascents = [(i, j) for i, j in combinations(range(n), 2) if order[i] < order[j]]
+    assume(ascents)
+    up = draw(st.sampled_from(ascents))
+    edges = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        .filter(lambda e: e[0] < e[1] and e != up),
+        unique=True, max_size=3 * n,
+    ))
+    arrows = [(order[i], order[j]) for i, j in [up] + edges]
+    scalars = [1] + draw(st.lists(st.sampled_from([0, 1, 1]),
+                                  min_size=len(edges), max_size=len(edges)))
+    dims = draw(st.lists(st.sampled_from([1, 1, 1, 0]), min_size=n, max_size=n))
+    dims[arrows[0][0]] = dims[arrows[0][1]] = 1
+    return little_rep(n, arrows, dims=tuple(dims), scalars=scalars, rank=5)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(unordered_reps())
+def test_closed_subsets_in_canonical_order_on_unordered_reps(rep):
+    # the walk runs in Kahn's order here, and its masks are mapped to the
+    # sort layout; the brute force lists every subset of the support
+    for reduce in (False, True):
+        assert closed_subsets(rep, reduce=reduce) == brute_force_closed(rep, reduce)
+
+
+def coxeter_catalan(series, rank):
+    """The number of order ideals of the positive-root poset."""
+    if series == "A":
+        return comb(2 * rank + 2, rank + 1) // (rank + 2)
+    if series == "D":
+        count, rest = divmod((3 * rank - 2) * comb(2 * rank - 2, rank - 1), rank)
+        assert not rest
+        return count
+    return {6: 833, 7: 4160, 8: 25080}[rank]
+
+
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+    + [("E", n) for n in (6, 7, 8)],
+)
+def test_borel_closed_subsets_are_the_catalan_many_root_ideals(series, rank):
+    # the Levi rep of the Borel has one vertex -alpha per positive root and
+    # its arrows lower the root, so a closed subset is an order ideal of the
+    # root poset; those number Cat(W) (Cellini-Papi 2000), the empty and
+    # the full one included
+    levi = tangent_rep(borel(build_root_system(series, rank))).levi_rep
+    assert len(closed_subsets(levi)) == coxeter_catalan(series, rank) - 2
 
 
 def test_closed_subsets_on_a_long_path():
