@@ -53,7 +53,8 @@ class _BorelArrows(NamedTuple):
     An arrow runs from ``src`` to ``dst`` along the root ``label``, with the
     1x1 map ``((scalar,),)``; ``weights`` holds each arrow's label as a
     ``Weight`` and ``maps`` its map.  The rows keep ``induced_quiver``'s
-    order: by source, then by label.
+    order: by source, then by label.  ``borel`` is the parabolic every
+    restriction keeps as its quiver's ``parabolic``.
     """
 
     borel: object
