@@ -133,12 +133,29 @@ class RootSystemData:
                 two_rho[k] += c
         self.rho = Weight(tuple(c // 2 for c in two_rho), self)
         self._tables = None
+        self._dominant = None
 
     def _root_tables(self):
         """The positive-root pair tables, built on first use."""
         if self._tables is None:
             self._tables = _build_root_tables(self)
         return self._tables
+
+    def _dominant_pairs(self):
+        """The ``(i, j)`` with ``alpha_i - alpha_j`` dominant, built on first use.
+
+        Only the simplicity check reads this table, so a process that
+        builds the pair tables for anything else does not pay for it.
+        """
+        if self._dominant is None:
+            pairings = [r.fundamental for r in self.positive_roots]
+            self._dominant = tuple(
+                (i, j)
+                for i, fi in enumerate(pairings)
+                for j, fj in enumerate(pairings)
+                if all(map(ge, fi, fj))
+            )
+        return self._dominant
 
     def _enumerate_positive_roots(self):
         simples = [w.coords2 for w in self.simple_roots]
@@ -223,15 +240,13 @@ class _RootTables(NamedTuple):
     every other pair has no bracket.  ``brackets[s]`` lists the same pairs
     by their sum, as ``(i, j, n)`` in pair order, and ``parts[s]`` is the
     bitmask of the roots in them: bit ``i`` is set iff ``alpha_s - alpha_i``
-    is a positive root.  ``dominant_pairs`` lists the ``(i, j)`` with
-    ``alpha_i - alpha_j`` dominant.
+    is a positive root.
     """
 
     index: dict
     sums: dict
     brackets: tuple
     parts: tuple
-    dominant_pairs: tuple
 
 
 def _build_root_tables(system):
@@ -249,14 +264,7 @@ def _build_root_tables(system):
     for (i, j), (s, n) in sums.items():
         brackets[s].append((i, j, n))
         parts[s] |= 1 << i | 1 << j
-    pairings = [r.fundamental for r in roots]
-    dominant = tuple(
-        (i, j)
-        for i, fi in enumerate(pairings)
-        for j, fj in enumerate(pairings)
-        if all(map(ge, fi, fj))
-    )
-    return _RootTables(index, sums, tuple(map(tuple, brackets)), tuple(parts), dominant)
+    return _RootTables(index, sums, tuple(map(tuple, brackets)), tuple(parts))
 
 
 _SYSTEM_CACHE = {}

@@ -218,15 +218,19 @@ def _verdicts(rows, points):
 
     D = prod_c L_c(h) weights component c by the exact integer
     D // L_c(h).  A point is STABLE when every row sum is positive,
-    UNSTABLE when one is negative, and on the boundary otherwise.
+    UNSTABLE when one is negative, and on the boundary otherwise.  The
+    verdict does not depend on the order of the rows, so the row that
+    last proved a point UNSTABLE is tried first at the next one.
     """
+    rows = list(rows)
     verdicts = []
     for degrees in points:
         weights = list(map(prod(degrees).__floordiv__, degrees))
         verdict = STABLE
-        for row in rows:
+        for k, row in enumerate(rows):
             value = sum(map(mul, row, weights))
             if value < 0:
+                rows[0], rows[k] = row, rows[0]
                 verdict = UNSTABLE
                 break
             if value == 0:
@@ -235,18 +239,76 @@ def _verdicts(rows, points):
     return verdicts
 
 
+def _interval_bounds(row, ends):
+    """Bounds of Q * sum_c row[c] / L_c(h) over a run of points.
+
+    ``ends`` holds the weights Q // L_c(h) at the two ends of the run,
+    with Q > 0 the product of D(h) at both ends.  Every L_c is affine
+    and positive along the run, so each term row[c] / L_c is monotone and
+    lies between its values at the two ends: the row's least (greatest)
+    value is at least (at most) the sum of its terms' least (greatest)
+    ends.  A positive lower or a negative upper bound certifies the sign
+    of the row at every point of the run.  At a single point both bounds
+    are the row sum of ``_verdicts`` times D(h), so the test is exact.
+    """
+    near = list(map(mul, row, ends[0]))
+    far = list(map(mul, row, ends[1]))
+    return sum(map(min, near, far)), sum(map(max, near, far))
+
+
 def _line_verdicts(cone, start, step, count):
     """Verdicts at the points start + i * step, for i in range(count).
 
     Every point must be ample; nothing is validated here.  Along the line
     each degree form L_c is affine, so the degrees are stepped as
     arithmetic progressions and never recomputed from the point.
+
+    A line of at least 8 points per row is decided in certified runs,
+    starting from the whole line: a run is UNSTABLE when a row's upper
+    bound (``_interval_bounds``) is negative, a row whose lower bound is
+    positive is dropped for the run's parts, and a run with no row left
+    is STABLE.  A single point with rows left is on the boundary; a longer
+    run is halved.  As in ``_verdicts``, the row that last proved a run
+    UNSTABLE is tried first.  Testing a run costs a few points' row sums
+    per row, and the verdict changes only a few times along a line, so
+    halving pays on lines that are long against the rows; a shorter line
+    goes to ``_verdicts`` point by point (README gives the measurements).
     """
-    lines = [
-        itertools.count(sum(map(mul, form, start)), sum(map(mul, form, step)))
-        for form in cone.forms
-    ]
-    return _verdicts(cone.rows, itertools.islice(zip(*lines), count))
+    firsts = [sum(map(mul, form, start)) for form in cone.forms]
+    steps = [sum(map(mul, form, step)) for form in cone.forms]
+    if count < 8 * len(cone.rows):
+        lines = map(itertools.count, firsts, steps)
+        return _verdicts(cone.rows, itertools.islice(zip(*lines), count))
+    verdicts = []
+    last = None
+    runs = [(0, count - 1, list(cone.rows))]
+    while runs:
+        i, j, active = runs.pop()
+        at_i = [a + i * d for a, d in zip(firsts, steps)]
+        at_j = [a + j * d for a, d in zip(firsts, steps)]
+        q = prod(at_i) * prod(at_j)
+        ends = list(map(q.__floordiv__, at_i)), list(map(q.__floordiv__, at_j))
+        if last in active:
+            active.remove(last)
+            active.insert(0, last)
+        kept = []
+        for row in active:
+            low, high = _interval_bounds(row, ends)
+            if high < 0:
+                last = row
+                verdicts += [UNSTABLE] * (j - i + 1)
+                break
+            if low <= 0:
+                kept.append(row)
+        else:
+            if not kept:
+                verdicts += [STABLE] * (j - i + 1)
+            elif i == j:
+                verdicts.append(BOUNDARY)
+            else:
+                mid = (i + j) // 2
+                runs += [(mid + 1, j, kept), (i, mid, kept)]
+    return verdicts
 
 
 def degree_membership(cone, polarization):

@@ -400,8 +400,8 @@ def dominant_sum_check(p):
     dominant summand of End of the graded tangent bundle is the trivial
     one.  Each sum is alpha_i - alpha_j for nilradical roots alpha_i and
     alpha_j, so the set is read off the root system's table of the pairs
-    with alpha_i - alpha_j dominant (``dominant_pairs`` of
-    ``RootSystemData._root_tables``), filtered by nilradical membership.
+    with alpha_i - alpha_j dominant (``RootSystemData._dominant_pairs``),
+    filtered by nilradical membership.
     A nonzero dominant element of the root lattice lies above the highest
     root (Stembridge, *The partial order of dominant weights*, 1998), so
     that table is the diagonal and the set is {0}.
@@ -410,7 +410,7 @@ def dominant_sum_check(p):
     roots = [r.coords2 for r in p.system.positive_roots]
     sums = {
         tuple(map(sub, roots[i], roots[j]))
-        for i, j in p.system._root_tables().dominant_pairs
+        for i, j in p.system._dominant_pairs()
         if i in nil and j in nil
     }
     return frozenset(map(p.system.weight, sums))

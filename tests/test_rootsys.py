@@ -157,7 +157,7 @@ def test_dominant_pair_table_is_the_diagonal(series, rank):
     system = build_root_system(series, rank)
     roots = system.positive_roots
     diagonal = tuple((i, i) for i in range(len(roots)))
-    assert system._root_tables().dominant_pairs == diagonal
+    assert system._dominant_pairs() == diagonal
     assert diagonal == tuple(
         (i, j)
         for i, a in enumerate(roots)

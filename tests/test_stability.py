@@ -2,7 +2,7 @@ import functools
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -428,37 +428,52 @@ def test_degree_membership_errors_and_budget():
         degree_cone(borel(build_root_system("E", 8)))
 
 
-def test_verdicts_are_homogeneous():
-    rng = random.Random(11)
-    cases = [
-        ("A", 3, (1, 2, 3)),
-        ("A", 3, (1, 2)),
-        ("A", 4, (1, 4)),
-        ("D", 4, (1, 2, 3, 4)),
-        ("D", 4, (2, 4)),
-        ("E", 6, (1, 6)),
-    ]
-    for series, rank, sigma in cases:
-        p = build_parabolic(build_root_system(series, rank), sigma)
-        cone, degrees = stability_cone(p), degree_cone(p)
-        for _ in range(25):
-            h = tuple(rng.randint(1, 6) for _ in sigma)
-            verdict = degree_membership(degrees, h)
-            for scale in (2, 3, 7):
-                multiple = tuple(scale * x for x in h)
-                assert degree_membership(degrees, multiple) == verdict
-                assert cone_membership(cone, multiple) == verdict
-    # the boundary survives scaling too
+HOMOGENEITY_CASES = [
+    ("A", 3, (1, 2, 3)),
+    ("A", 3, (1, 2)),
+    ("A", 4, (1, 4)),
+    ("D", 4, (1, 2, 3, 4)),
+    ("D", 4, (2, 4)),
+    ("E", 6, (1, 6)),
+    ("A", 6, (1, 2, 3, 4, 5, 6)),
+]
+
+
+@st.composite
+def scaled_lines(draw):
+    """A cone, an ample line of up to 400 points, and a scale g >= 2."""
+    case = draw(st.sampled_from(HOMOGENEITY_CASES))
+    k = len(case[2])
+    count = draw(st.integers(1, 400))
+    step = draw(st.tuples(*[st.integers(-6, 6)] * k))
+    low = draw(st.tuples(*[st.integers(1, 6)] * k))
+    start = tuple(x + max(0, -(count - 1) * d) for x, d in zip(low, step))
+    return case, (start, step, count), draw(st.integers(2, 60))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scaled_lines())
+def test_verdicts_are_homogeneous(case_line):
+    case, (start, step, count), g = case_line
+    degrees = _line_cone(case)
+    verdict = degree_membership(degrees, start)
+    multiple = tuple(g * x for x in start)
+    assert degree_membership(degrees, multiple) == verdict
+    if case[1] < 6:
+        assert cone_membership(_oracle_cones(case)[0], multiple) == verdict
+    # the scaled line's points are g times the line's: the same verdicts,
+    # decided on larger degrees
+    scaled = tuple(g * x for x in start), tuple(g * d for d in step)
+    assert _line_verdicts(degrees, *scaled, count) == (
+        _line_verdicts(degrees, start, step, count)
+    )
+
+
+def test_boundary_survives_scaling():
     p = build_parabolic(build_root_system("A", 3), [1, 2])
     degrees = degree_cone(p)
     assert {degree_membership(degrees, (k, 2 * k)) for k in (1, 5, 40)} == {BOUNDARY}
-    p = borel(build_root_system("A", 6))
-    degrees = degree_cone(p)
-    for _ in range(20):
-        h = tuple(rng.randint(1, 5) for _ in range(6))
-        assert degree_membership(degrees, tuple(4 * x for x in h)) == (
-            degree_membership(degrees, h)
-        )
 
 
 ORACLE_CASES = [
@@ -520,6 +535,36 @@ def _line_cone(case):
     return degree_cone(build_parabolic(build_root_system(series, rank), sigma))
 
 
+# two-parameter cones whose boundary is a rational ray, with its primitive
+# point: lines through a multiple of it hit exact BOUNDARY points
+BOUNDARY_RAYS = [
+    (("A", 3, (1, 2)), (1, 2)),
+    (("A", 3, (2, 3)), (2, 1)),
+    (("D", 4, (1, 2)), (1, 1)),
+    (("D", 4, (2, 4)), (1, 1)),
+]
+
+# short lines go point by point; a line of at least 8 points per row is
+# decided in certified runs
+LINE_COUNTS = st.one_of(st.integers(1, 12), st.integers(13, 400))
+
+
+def _row_sums(cone, h):
+    """Each row sum at h times D(h), by plain integer arithmetic."""
+    degrees = [sum(f * x for f, x in zip(form, h)) for form in cone.forms]
+    total = 1
+    for degree in degrees:
+        total *= degree
+    return [sum(r * total // degree for r, degree in zip(row, degrees)) for row in cone.rows]
+
+
+def _plain_verdict(cone, h):
+    sums = _row_sums(cone, h)
+    if any(value < 0 for value in sums):
+        return UNSTABLE
+    return BOUNDARY if 0 in sums else STABLE
+
+
 @st.composite
 def sample_lines(draw):
     """A seeded parabolic and a few lattice lines in its ample cone.
@@ -531,7 +576,7 @@ def sample_lines(draw):
     k = len(case[2])
     lines = []
     for _ in range(draw(st.integers(1, 4))):
-        count = draw(st.integers(1, 12))
+        count = draw(LINE_COUNTS)
         step = draw(st.tuples(*[st.integers(-6, 6)] * k))
         low = draw(st.tuples(*[st.integers(1, 12)] * k))
         start = tuple(x + max(0, -(count - 1) * d) for x, d in zip(low, step))
@@ -539,13 +584,83 @@ def sample_lines(draw):
     return case, lines
 
 
+@st.composite
+def boundary_lines(draw):
+    """A cone of ``BOUNDARY_RAYS`` and lines through multiples of its ray.
+
+    Point m of a line is g * ray, with g just large enough (or larger)
+    that every point stays ample.  A step along the ray keeps the whole
+    line on the boundary; any other step crosses it at point m.
+    """
+    case, ray = draw(st.sampled_from(BOUNDARY_RAYS))
+    lines = []
+    for _ in range(draw(st.integers(1, 4))):
+        count = draw(LINE_COUNTS)
+        m = draw(st.integers(0, count - 1))
+        step = draw(st.one_of(st.just(ray), st.tuples(*[st.integers(-6, 6)] * 2)))
+        g = draw(st.integers(1, 3)) + max(
+            (max(m * d, (m + 1 - count) * d) + r - 1) // r for r, d in zip(ray, step)
+        )
+        start = tuple(g * r - m * d for r, d in zip(ray, step))
+        lines.append((start, step, count))
+    return case, lines
+
+
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(sample_lines())
+@given(st.one_of(sample_lines(), boundary_lines()))
 def test_line_kernel_matches_degree_membership_at_every_point(case_lines):
     case, lines = case_lines
     cone = _line_cone(case)
     for start, step, count in lines:
         points = [tuple(a + i * d for a, d in zip(start, step)) for i in range(count)]
         verdicts = [degree_membership(cone, h) for h in points]
+        assert verdicts == [_plain_verdict(cone, h) for h in points]
         assert _line_verdicts(cone, start, step, count) == verdicts
+
+
+def test_certified_runs_keep_boundary_points():
+    cone = _line_cone(("A", 3, (1, 2)))
+    assert 400 >= 8 * len(cone.rows)
+    # every point of the ray (k, 2k) is on the boundary
+    assert _line_verdicts(cone, (1, 2), (1, 2), 400) == [BOUNDARY] * 400
+    # (1 + i, 100 + i) crosses it at i = 98, from UNSTABLE to STABLE
+    verdicts = _line_verdicts(cone, (1, 100), (1, 1), 400)
+    assert verdicts == [UNSTABLE] * 98 + [BOUNDARY] + [STABLE] * 301
+    assert verdicts == [_plain_verdict(cone, (1 + i, 100 + i)) for i in range(400)]
+
+
+@st.composite
+def line_runs(draw):
+    """A cone, an ample line of it and a run i..j of its points."""
+    case, lines = draw(st.one_of(sample_lines(), boundary_lines()))
+    start, step, count = lines[0]
+    i = draw(st.integers(0, count - 1))
+    return case, start, step, i, draw(st.integers(i, count - 1))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(line_runs())
+def test_interval_bounds_hold_at_every_point_of_the_run(run):
+    # with ends Q // L_c at points i and j, Q = D(i) * D(j), each row's
+    # bounds enclose Q times its sum_c row[c] / L_c at every point between,
+    # so a positive lower or a negative upper bound certifies the sign
+    case, start, step, i, j = run
+    cone = _line_cone(case)
+    points = [tuple(a + x * d for a, d in zip(start, step)) for x in range(i, j + 1)]
+    degrees = [[sum(f * x for f, x in zip(form, h)) for form in cone.forms] for h in points]
+    q = prod(degrees[0]) * prod(degrees[-1])
+    ends = [q // degree for degree in degrees[0]], [q // degree for degree in degrees[-1]]
+    sums = [_row_sums(cone, h) for h in points]
+    for r, row in enumerate(cone.rows):
+        low, high = stability._interval_bounds(row, ends)
+        for h_degrees, h_sums in zip(degrees, sums):
+            d = prod(h_degrees)
+            assert low * d <= q * h_sums[r] <= high * d
+        if low > 0:
+            assert all(h_sums[r] > 0 for h_sums in sums)
+        if high < 0:
+            assert all(h_sums[r] < 0 for h_sums in sums)
+        if i == j:
+            assert low == high == prod(degrees[0]) * sums[0][r]
