@@ -460,7 +460,7 @@ def test_verdicts_are_homogeneous(case_line):
     verdict = degree_membership(degrees, start)
     multiple = tuple(g * x for x in start)
     assert degree_membership(degrees, multiple) == verdict
-    if case[1] < 6:
+    if len(case[2]) < 6:  # A6/B's expanded cone is 282 MB of JSON
         assert cone_membership(_oracle_cones(case)[0], multiple) == verdict
     # the scaled line's points are g times the line's: the same verdicts,
     # decided on larger degrees
@@ -552,9 +552,7 @@ LINE_COUNTS = st.one_of(st.integers(1, 12), st.integers(13, 400))
 def _row_sums(cone, h):
     """Each row sum at h times D(h), by plain integer arithmetic."""
     degrees = [sum(f * x for f, x in zip(form, h)) for form in cone.forms]
-    total = 1
-    for degree in degrees:
-        total *= degree
+    total = prod(degrees)
     return [sum(r * total // degree for r, degree in zip(row, degrees)) for row in cone.rows]
 
 
