@@ -75,6 +75,7 @@ from .stability import (
     degree_membership,
     equivalence_check,
     is_sigma_semistable,
+    sample_band,
     sigma_from_polarization,
     stability_cone,
 )

@@ -21,15 +21,15 @@ from .rootsys import build_root_system
 from .schubert import DEFAULT_BUDGET, intersection_number, volume_polynomial
 from .stability import (
     _cone_inequalities,
-    _line_verdicts,
     boundary_2d,
     degree_cone,
     degree_membership,
     is_sigma_semistable,
+    sample_band,
     sigma_from_polarization,
     stability_cone,
 )
-from .tangentrep import VERDICT_SIMPLE, simplicity_report, tangent_rep
+from .tangentrep import VERDICT_SIMPLE, _borel_rep, simplicity_report, tangent_rep
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -249,22 +249,22 @@ def cmd_simplicity(args):
 
 
 def _tangent_quiver(args, p):
-    trep = tangent_rep(p)
     if args.level == "levi":
-        return trep.levi_rep
+        return tangent_rep(p).levi_rep
+    rep = _borel_rep(p)[0]
     if args.mode == quiver_mod.REDUCED:
         # generators are a subsequence of the nilradical weights, so the
         # reduced arrows are the full ones with a generator label, in order
-        full = trep.rep.quiver
+        full = rep.quiver
         generators = set(full.parabolic.generator_weights)
         kept = [k for k, a in enumerate(full.arrows) if a.label in generators]
         reduced = quiver_mod.InducedQuiver(
             full.vertices, [full.arrows[k] for k in kept], quiver_mod.REDUCED,
             full.parabolic,
         )
-        maps = {i: trep.rep.maps[k] for i, k in enumerate(kept)}
-        return quiver_mod.QuiverRep(reduced, trep.rep.dims, maps)
-    return trep.rep
+        maps = {i: rep.maps[k] for i, k in enumerate(kept)}
+        return quiver_mod.QuiverRep(reduced, rep.dims, maps)
+    return rep
 
 
 def cmd_quiver(args):
@@ -374,34 +374,39 @@ def _cone_chunks(cone, boundary):
 def _sample_csv(cone, k, grid, section):
     """The CSV lines of a sample after its header, one lattice line a chunk.
 
-    ``{1..grid}^k`` is listed in lexicographic order, so its lines are the
-    runs of the last coordinate.  The section ``sum(a_i) = section`` is a
-    raster of the cross-section of the cone: the inequalities are
-    homogeneous, so fixed-sum integer points sample the projective picture
-    exactly.  Cut points 0 < c_1 < ... < section, in lexicographic order,
-    give the parts c_{j+1} - c_j >= 1, so its lines are the runs of the
-    last cut, a step of (+1, -1) on the last two parts.
+    ``sample_band`` gives each line's leading coordinates, written once
+    as the line's head, and its verdicts as runs of equal verdicts.  A
+    grid point's text after the head is ``"{j},{verdict}\n"``, rendered
+    once per sample for each j and each verdict that occurs, so a grid
+    line is its head joined to one slice of those texts per run.  A
+    section point's text is ``"{j},{rest - j},{verdict}\n"``, with rest
+    the sum of the last two parts, and the one point of a k = 1 section
+    is ``"{section},{verdict}\n"``.
     """
-    if grid:
-        tails = [f"{j}," for j in range(1, grid + 1)]
-        step = (0,) * (k - 1) + (1,)
-        for prefix in itertools.product(range(1, grid + 1), repeat=k - 1):
+    tails = {}
+    for band in itertools.count():
+        lines = sample_band(cone, grid, section, band)
+        if not lines:
+            return
+        for prefix, runs in lines:
             head = "".join(f"{x}," for x in prefix)
-            verdicts = _line_verdicts(cone, prefix + (1,), step, grid)
-            yield "".join([head + t + v + "\n" for t, v in zip(tails, verdicts)])
-    elif k == 1:
-        (verdict,) = _line_verdicts(cone, (section,), (0,), 1)
-        yield f"{section},{verdict}\n"
-    else:
-        step = (0,) * (k - 2) + (1, -1)
-        for cuts in itertools.combinations(range(1, section - 1), k - 2):
-            prefix = tuple(b - a for a, b in zip((0,) + cuts, cuts))
-            head = "".join(f"{x}," for x in prefix)
-            rest = section - (cuts[-1] if cuts else 0)
-            verdicts = _line_verdicts(cone, prefix + (1, rest - 1), step, rest - 1)
-            yield "".join(
-                [f"{head}{j},{rest - j},{v}\n" for j, v in enumerate(verdicts, 1)]
-            )
+            parts = []
+            start = 0
+            if grid:
+                for stop, verdict in runs:
+                    tail = tails.get(verdict)
+                    if tail is None:
+                        tail = tails[verdict] = [f"{j},{verdict}\n" for j in range(1, grid + 1)]
+                    parts += tail[start:stop]
+                    start = stop
+            elif k == 1:
+                parts = [f"{section},{verdict}\n" for _, verdict in runs]
+            else:
+                rest = section - sum(prefix)
+                for stop, verdict in runs:
+                    parts += [f"{j},{rest - j},{verdict}\n" for j in range(start + 1, stop + 1)]
+                    start = stop
+            yield head + head.join(parts)
 
 
 def cmd_cone(args):

@@ -7,7 +7,6 @@ and cached per (series, rank).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, ge
 from typing import NamedTuple
 
@@ -350,6 +349,8 @@ def _weyl_dimension(lam2, rho2, positive_roots):
 
     Scaling lam and rho by one common factor leaves the value unchanged.
     """
+    from fractions import Fraction  # imported here: no other code makes one
+
     num2 = tuple(a + b for a, b in zip(lam2, rho2))
     num = den = 1
     for alpha in positive_roots:

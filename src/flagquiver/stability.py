@@ -8,9 +8,8 @@ the character-based verdicts use the same integer data.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from math import gcd, isqrt, prod
-from operator import floordiv, mul, sub
+from math import comb, gcd, isqrt, prod
+from operator import add, floordiv, mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -220,9 +219,9 @@ def _verdicts(rows, points):
     D // L_c(h).  A point is STABLE when every row sum is positive,
     UNSTABLE when one is negative, and on the boundary otherwise.  The
     verdict does not depend on the order of the rows, so the row that
-    last proved a point UNSTABLE is tried first at the next one.
+    last proved a point UNSTABLE is moved to the front of the list
+    ``rows``, in place, and tried first at the next point.
     """
-    rows = list(rows)
     verdicts = []
     for degrees in points:
         weights = list(map(prod(degrees).__floordiv__, degrees))
@@ -230,7 +229,8 @@ def _verdicts(rows, points):
         for k, row in enumerate(rows):
             value = sum(map(mul, row, weights))
             if value < 0:
-                rows[0], rows[k] = row, rows[0]
+                if k:
+                    rows.insert(0, rows.pop(k))
                 verdict = UNSTABLE
                 break
             if value == 0:
@@ -240,20 +240,161 @@ def _verdicts(rows, points):
 
 
 def _interval_bounds(row, ends):
-    """Bounds of Q * sum_c row[c] / L_c(h) over a run of points.
+    """Bounds of Q * sum_c row[c] / L_c(h) over a run or a rectangle of points.
 
-    ``ends`` holds the weights Q // L_c(h) at the two ends of the run,
-    with Q > 0 the product of D(h) at both ends.  Every L_c is affine
-    and positive along the run, so each term row[c] / L_c is monotone and
-    lies between its values at the two ends: the row's least (greatest)
-    value is at least (at most) the sum of its terms' least (greatest)
-    ends.  A positive lower or a negative upper bound certifies the sign
-    of the row at every point of the run.  At a single point both bounds
-    are the row sum of ``_verdicts`` times D(h), so the test is exact.
+    ``ends`` holds the weights Q // L_c(h) at two points of the set, with
+    Q > 0 the product of D(h) at both, chosen so that every L_c lies
+    between its values there: the two ends of a run, along which every
+    L_c is affine, or the low and high corners of a rectangle on which
+    every L_c is nondecreasing in both coordinates.  Each term
+    row[c] / L_c is monotone in L_c, so it lies between its values at
+    the two points: the row's least (greatest) value is at least (at
+    most) the sum of its terms' least (greatest) ends.  A positive lower
+    or a negative upper bound certifies the sign of the row at every
+    point of the set.  At a single point both bounds are the row sum of
+    ``_verdicts`` times D(h), so the test is exact.  The kernel reads the
+    same bounds, doubled, from ``_doubled_bounds``.
     """
-    near = list(map(mul, row, ends[0]))
-    far = list(map(mul, row, ends[1]))
-    return sum(map(min, near, far)), sum(map(max, near, far))
+    near, far = ends
+    low, high = _doubled_bounds(row, (list(map(add, near, far)), list(map(sub, near, far))))
+    return low // 2, high // 2
+
+
+def _doubled_bounds(row, ends):
+    """Twice the bounds of ``_interval_bounds``, from ``_ends``.
+
+    ``ends`` holds the sums and the differences of the weights at the two
+    points.  With x and y a term's values there, min(x, y) and max(x, y)
+    are (x + y -+ |x - y|) / 2, so twice the bounds are the row's sum
+    over the weight sums less and plus the sum of its terms' spreads.
+    """
+    center = sum(map(mul, row, ends[0]))
+    spread = sum(map(abs, map(mul, row, ends[1])))
+    return center - spread, center + spread
+
+
+def _ends(low, high):
+    """The weights Q // L_c at two points, as ``_doubled_bounds`` reads them.
+
+    ``low`` and ``high`` are the degrees at the two points and Q is
+    D(low) * D(high), so every weight is an exact integer.
+    """
+    q = prod(low) * prod(high)
+    near = list(map(q.__floordiv__, low))
+    far = list(map(q.__floordiv__, high))
+    return list(map(add, near, far)), list(map(sub, near, far))
+
+
+# A part of a rectangle with at most this many points per row left to
+# decide is decided point by point, a larger one as a whole (see _runs).
+_POINTS_PER_ROW = 4
+# The most lattice lines in one band of a sample (see sample_band).
+_BAND_LINES = 1024
+
+
+def _runs(order, firsts, di, dj, lines, count):
+    """Verdicts at the points (i, j) of a rectangle, as runs along each line.
+
+    Point (i, j), for 0 <= i < lines and 0 <= j < count, has the degrees
+    L_c = firsts[c] + i * di[c] + j * dj[c], which must be positive at
+    every point.  With more than one line, ``di`` and ``dj`` must be
+    >= 0, so that on every sub-rectangle each L_c is least at the low
+    corner and greatest at the high one.  A single line may step either
+    way: L_c is affine along it, so it lies between its values at the
+    two ends.  ``order`` is the list of rows, reordered in place so that
+    the row that last proved something UNSTABLE comes first; a caller
+    that passes the same list again carries that order over.
+
+    The rectangle is decided in certified parts, as a region quadtree.
+    A part with at most ``_POINTS_PER_ROW`` points per active row is
+    decided point by point by ``_verdicts``; this fixed rule is the only
+    cut-over.  A larger part is UNSTABLE when a row's upper bound
+    (``_interval_bounds`` at its corners) is negative.  A row whose lower
+    bound is positive is dropped for the part's pieces, and a part with
+    no row left is STABLE.  Any other part is halved across its longer
+    side.  Every part tries the first row of ``order`` first.  Point by
+    point, each line of a part starts with its first point; when that is
+    UNSTABLE, the row that proved it is tested over the rest of the
+    line's segment, which is then UNSTABLE as a whole if the row's upper
+    bound is negative.
+
+    Returns one list per line of ``(stop, verdict)`` pairs, meaning that
+    points ``start .. stop - 1`` of the line have that verdict, where
+    ``start`` is the previous pair's stop (0 for the first pair).  The
+    lower half of a part is decided first, so each line's pairs come in
+    order.
+    """
+    if count < 1 or not order:
+        return [[(count, STABLE)] if count else [] for _ in range(lines)]
+
+    def degrees(i, j):
+        return [a + i * b + j * c for a, b, c in zip(firsts, di, dj)]
+
+    runs = [[] for _ in range(lines)]
+    parts = [(0, 0, lines - 1, count - 1, order)]
+    while parts:
+        i0, j0, i1, j1, active = parts.pop()
+        if order[0] in active:
+            _to_front(active, order[0])
+        if (i1 - i0 + 1) * (j1 - j0 + 1) <= _POINTS_PER_ROW * len(active):
+            if i1 > i0:
+                parts += [(i, j0, i, j1, active) for i in range(i1, i0 - 1, -1)]
+                continue
+            line = runs[i0]
+            low = degrees(i0, j0)
+            (verdict,) = _verdicts(active, [low])
+            if verdict is UNSTABLE:
+                _to_front(order, active[0])
+                if j1 > j0 and _doubled_bounds(active[0], _ends(low, degrees(i0, j1)))[1] < 0:
+                    line.append((j1 + 1, UNSTABLE))
+                    continue
+            points = zip(*map(itertools.count, low, dj))
+            verdicts = [verdict] + _verdicts(active, itertools.islice(points, 1, j1 - j0 + 1))
+            if UNSTABLE in verdicts:
+                _to_front(order, active[0])
+            for stop, verdict in enumerate(verdicts, j0 + 1):
+                if line and line[-1][1] == verdict:
+                    line[-1] = (stop, verdict)
+                else:
+                    line.append((stop, verdict))
+            continue
+        bounds = _ends(degrees(i0, j0), degrees(i1, j1))
+        kept = []
+        for row in active:
+            low, high = _doubled_bounds(row, bounds)
+            if high < 0:
+                _to_front(order, row)
+                verdict = UNSTABLE
+                break
+            if low <= 0:
+                kept.append(row)
+        else:
+            if kept:
+                if i1 - i0 > j1 - j0:
+                    mid = (i0 + i1) // 2
+                    parts += [(mid + 1, j0, i1, j1, kept), (i0, j0, mid, j1, kept)]
+                else:
+                    mid = (j0 + j1) // 2
+                    parts += [(i0, mid + 1, i1, j1, kept), (i0, j0, i1, mid, kept)]
+                continue
+            verdict = STABLE
+        for i in range(i0, i1 + 1):
+            runs[i].append((j1 + 1, verdict))
+    return runs
+
+
+def _to_front(rows, row):
+    """Move ``row`` to the front of the list ``rows``."""
+    if rows[0] is not row:
+        rows.remove(row)
+        rows.insert(0, row)
+
+
+def _line_runs(cone, order, start, step, count):
+    """``_runs`` of the single line start + j * step, j in range(count)."""
+    firsts = [sum(map(mul, form, start)) for form in cone.forms]
+    steps = [sum(map(mul, form, step)) for form in cone.forms]
+    return _runs(order, firsts, steps, steps, 1, count)[0]
 
 
 def _line_verdicts(cone, start, step, count):
@@ -262,53 +403,108 @@ def _line_verdicts(cone, start, step, count):
     Every point must be ample; nothing is validated here.  Along the line
     each degree form L_c is affine, so the degrees are stepped as
     arithmetic progressions and never recomputed from the point.
-
-    A line of at least 8 points per row is decided in certified runs,
-    starting from the whole line: a run is UNSTABLE when a row's upper
-    bound (``_interval_bounds``) is negative, a row whose lower bound is
-    positive is dropped for the run's parts, and a run with no row left
-    is STABLE.  A single point with rows left is on the boundary; a longer
-    run is halved.  As in ``_verdicts``, the row that last proved a run
-    UNSTABLE is tried first.  Testing a run costs a few points' row sums
-    per row, and the verdict changes only a few times along a line, so
-    halving pays on lines that are long against the rows; a shorter line
-    goes to ``_verdicts`` point by point (README gives the measurements).
     """
-    firsts = [sum(map(mul, form, start)) for form in cone.forms]
-    steps = [sum(map(mul, form, step)) for form in cone.forms]
-    if count < 8 * len(cone.rows):
-        lines = map(itertools.count, firsts, steps)
-        return _verdicts(cone.rows, itertools.islice(zip(*lines), count))
     verdicts = []
-    last = None
-    runs = [(0, count - 1, list(cone.rows))]
-    while runs:
-        i, j, active = runs.pop()
-        at_i = [a + i * d for a, d in zip(firsts, steps)]
-        at_j = [a + j * d for a, d in zip(firsts, steps)]
-        q = prod(at_i) * prod(at_j)
-        ends = list(map(q.__floordiv__, at_i)), list(map(q.__floordiv__, at_j))
-        if last in active:
-            active.remove(last)
-            active.insert(0, last)
-        kept = []
-        for row in active:
-            low, high = _interval_bounds(row, ends)
-            if high < 0:
-                last = row
-                verdicts += [UNSTABLE] * (j - i + 1)
-                break
-            if low <= 0:
-                kept.append(row)
-        else:
-            if not kept:
-                verdicts += [STABLE] * (j - i + 1)
-            elif i == j:
-                verdicts.append(BOUNDARY)
-            else:
-                mid = (i + j) // 2
-                runs += [(mid + 1, j, kept), (i, mid, kept)]
+    done = 0
+    for stop, verdict in _line_runs(cone, list(cone.rows), start, step, count):
+        verdicts += [verdict] * (stop - done)
+        done = stop
     return verdicts
+
+
+def _cuts(rank, n, m):
+    """Entry ``rank`` of ``itertools.combinations(range(1, n + 1), m)``."""
+    cuts = []
+    x = 1
+    for left in range(m - 1, -1, -1):
+        while rank >= (skipped := comb(n - x, left)):
+            rank -= skipped
+            x += 1
+        cuts.append(x)
+        x += 1
+    return tuple(cuts)
+
+
+def _next_cuts(cuts, n):
+    """The entry after ``cuts`` in that order, or None after the last."""
+    m = len(cuts)
+    for pos in range(m - 1, -1, -1):
+        if cuts[pos] < n - (m - 1 - pos):
+            x = cuts[pos] + 1
+            return cuts[:pos] + tuple(range(x, x + m - pos))
+    return None
+
+
+def sample_band(cone, grid, section, band):
+    """The verdicts of one band of lattice lines of a sample of the cone.
+
+    Give one of ``grid`` and ``section`` (the other 0).  A grid sample
+    lists {1..grid}^k in lexicographic order, so its lines are the runs
+    of the last coordinate, and the points with the first k - 2
+    coordinates fixed make a grid x grid slab.  A section sample lists
+    the points with sum(a_i) = section: the inequalities are homogeneous,
+    so fixed-sum integer points sample the projective picture exactly.
+    Cut points 0 < c_1 < ... < section, in lexicographic order, give the
+    parts c_{j+1} - c_j >= 1, so its lines are the runs of the last cut,
+    a step of (+1, -1) on the last two parts.
+
+    Band number ``band`` (from 0) holds at most ``_BAND_LINES``
+    consecutive lines, all of one slab for a grid, so the output can be
+    written band by band in bounded memory.  A grid band is decided as
+    one rectangle, over the last two coordinates, by ``_runs``: every
+    degree form has non-negative coefficients, so each L_c grows with
+    both.  A section's step is not monotone, so its lines are decided one
+    at a time, each starting from the row that last proved a point
+    UNSTABLE.
+
+    Returns one ``(prefix, runs)`` per line of the band, in order, and an
+    empty list past the last band.  ``prefix`` holds the line's leading
+    coordinates (all but the last for a grid, all but the last two for a
+    section) and ``runs`` its verdicts as in ``_runs``.  When k = 1 a
+    sample is a single line with prefix (): {1..grid}, or the one point
+    (section,).
+    """
+    forms = cone.forms
+    k = len(forms[0])
+    if grid and k > 1:
+        slab, chunk = divmod(band, -(-grid // _BAND_LINES))
+        if slab >= grid ** (k - 2):
+            return []
+        prefix = ()
+        for _ in range(k - 2):
+            slab, x = divmod(slab, grid)
+            prefix = (x + 1,) + prefix
+        first = chunk * _BAND_LINES + 1
+        lines = min(_BAND_LINES, grid + 1 - first)
+        firsts = [sum(map(mul, form, prefix + (first, 1))) for form in forms]
+        di = [form[-2] for form in forms]
+        dj = [form[-1] for form in forms]
+        runs = _runs(list(cone.rows), firsts, di, dj, lines, grid)
+        return [(prefix + (first + i,), line) for i, line in enumerate(runs)]
+    if k == 1:
+        if band:
+            return []
+        start, step, count = ((1,), (1,), grid) if grid else ((section,), (0,), 1)
+        return [((), _line_runs(cone, list(cone.rows), start, step, count))]
+    total = comb(section - 2, k - 2) if section > 1 else 0
+    first = band * _BAND_LINES
+    cuts = _cuts(first, section - 2, k - 2) if first < total else None
+    steps = [form[-2] - form[-1] for form in forms]
+    # the next value of the last cut moves one from the last part to the
+    # part before the line's two
+    shift = [form[-3] - form[-1] for form in forms] if k > 2 else None
+    order = list(cone.rows)
+    firsts = None
+    out = []
+    while cuts is not None and len(out) < _BAND_LINES:
+        prefix = tuple(b - a for a, b in zip((0,) + cuts, cuts))
+        rest = section - (cuts[-1] if cuts else 0)
+        if firsts is None:
+            firsts = [sum(map(mul, form, prefix + (1, rest - 1))) for form in forms]
+        out.append((prefix, _runs(order, firsts, steps, steps, 1, rest - 1)[0]))
+        cuts, previous = _next_cuts(cuts, section - 2), cuts
+        firsts = list(map(add, firsts, shift)) if cuts and cuts[:-1] == previous[:-1] else None
+    return out
 
 
 def degree_membership(cone, polarization):
@@ -321,8 +517,20 @@ def degree_membership(cone, polarization):
     h = _ample(polarization)
     if len(h) != len(cone.forms[0]):
         raise ValueError("point has the wrong arity")
-    (verdict,) = _verdicts(cone.rows, [[sum(map(mul, form, h)) for form in cone.forms]])
+    (verdict,) = _verdicts(list(cone.rows), [[sum(map(mul, form, h)) for form in cone.forms]])
     return verdict
+
+
+def _fraction(numerator, denominator):
+    """``Fraction(numerator, denominator)``, importing ``fractions`` on first use.
+
+    Only ``Surd`` makes fractions, and the import (which pulls in
+    ``decimal`` and ``numbers``) would cost every process that imports
+    this module a few milliseconds.
+    """
+    from fractions import Fraction
+
+    return Fraction(numerator, denominator)
 
 
 class Surd:
@@ -360,12 +568,12 @@ class Surd:
     def as_fraction(self):
         if not self.is_rational:
             raise ValueError("irrational surd")
-        return Fraction(self.p, self.s)
+        return _fraction(self.p, self.s)
 
     def approx(self, digits=30):
         scale = 10**digits
-        root = Fraction(isqrt(self.r * scale * scale), scale)
-        return Fraction(self.p, self.s) + Fraction(self.q, self.s) * root
+        root = _fraction(isqrt(self.r * scale * scale), scale)
+        return _fraction(self.p, self.s) + _fraction(self.q, self.s) * root
 
     def __float__(self):
         return float(self.approx())
@@ -382,7 +590,7 @@ class Surd:
         """Rationals lo <= self <= hi with hi - lo = |q| / (s * scale)."""
         root = isqrt(self.r * scale * scale)
         ends = (self.p * scale + self.q * x for x in (root, root + 1))
-        return sorted(Fraction(e, self.s * scale) for e in ends)
+        return sorted(_fraction(e, self.s * scale) for e in ends)
 
     def __lt__(self, other):
         # the normal form is unique, so unequal surds differ in value, and
@@ -404,7 +612,7 @@ class Surd:
 
     def __repr__(self):
         if self.is_rational:
-            return f"Surd({Fraction(self.p, self.s)})"
+            return f"Surd({_fraction(self.p, self.s)})"
         return f"Surd(({self.p}+{self.q}*sqrt({self.r}))/{self.s})"
 
 

@@ -95,22 +95,12 @@ def _borel_arrows(system):
     return table
 
 
-def tangent_rep(p):
-    """Quiver representation of the (pulled-back) tangent bundle of G/P.
+def _borel_rep(p):
+    """The Borel-level half of ``tangent_rep``, for callers of its ``rep`` only.
 
-    The Borel-level quiver is the Borel tangent quiver of the root system
-    (``_borel_arrows``, searched by ``induced_quiver`` once per root system
-    and kept in ``_BOREL_ARROWS``) restricted to the nilradical of ``p``:
-    an arrow is kept when both of its ends are nilradical roots.  Vertices
-    are renumbered by their position among the nilradical roots, which is
-    monotone, so the arrows keep the (source, label) order of a direct
-    ``induced_quiver`` search on ``p.tangent_weights``.
-
-    The Levi-level quiver is the quotient by the Levi components.  A label
-    of marked degree zero keeps an arrow inside its component and any other
-    label leaves it, so the Levi arrows are the nilradical-labelled Borel
-    arrows, and each pair of components gets the label of the first arrow
-    joining them.
+    Returns that rep, and what the Levi half reads: the nilradical as a
+    0/1 column over the positive roots, and the kept arrows' source
+    roots, destination roots, label roots and label weights.
     """
     system = p.system
     table = _borel_arrows(system)
@@ -134,14 +124,34 @@ def tangent_rep(p):
     bq = InducedQuiver(p.tangent_weights, arrows, FULL, table.borel)
     maps = dict(enumerate(compress(table.maps, keep)))
     rep = QuiverRep(bq, (1,) * len(bq.vertices), maps)
+    return rep, nil, (src, dst, list(compress(table.label, keep)), weights)
 
+
+def tangent_rep(p):
+    """Quiver representation of the (pulled-back) tangent bundle of G/P.
+
+    The Borel-level quiver is the Borel tangent quiver of the root system
+    (``_borel_arrows``, searched by ``induced_quiver`` once per root system
+    and kept in ``_BOREL_ARROWS``) restricted to the nilradical of ``p``:
+    an arrow is kept when both of its ends are nilradical roots.  Vertices
+    are renumbered by their position among the nilradical roots, which is
+    monotone, so the arrows keep the (source, label) order of a direct
+    ``induced_quiver`` search on ``p.tangent_weights``.
+
+    The Levi-level quiver is the quotient by the Levi components.  A label
+    of marked degree zero keeps an arrow inside its component and any other
+    label leaves it, so the Levi arrows are the nilradical-labelled Borel
+    arrows, and each pair of components gets the label of the first arrow
+    joining them.
+    """
+    rep, nil, (src, dst, label, weights) = _borel_rep(p)
     comps = levi_components(p)
     size = len(comps)
     comp_index = {c.degree: ci for ci, c in enumerate(comps)}
-    comp = [0] * roots
+    comp = [0] * len(nil)
     for r, degree in zip(p.nilradical_indices, p.marked_degrees):
         comp[r] = comp_index[degree]
-    leaves = list(map(nil.__getitem__, compress(table.label, keep)))
+    leaves = list(map(nil.__getitem__, label))
     # the pair of components (ci, cj) as the integer ci * size + cj
     pairs = list(map(
         add,
@@ -426,9 +436,8 @@ def verdict_for(multiplicity_free, components, dominant_sums, zero_weight):
 
 def simplicity_report(p):
     """Run every simplicity check for the tangent bundle of G/P."""
-    trep = tangent_rep(p)
     # raises unless multiplicity free; one scalar per connected component
-    hom_dim = hom_dimension(trep.rep)
+    hom_dim = hom_dimension(_borel_rep(p)[0])
     sums = dominant_sum_check(p)
     zero = p.system.weight((0,) * p.system.ambient_dim)
     return SimplicityReport(

@@ -631,27 +631,27 @@ def test_over_budget_cone_leaves_stdout_and_out_file_untouched(capsys, tmp_path,
 
 def test_interrupted_sample_leaves_the_old_out_file(capsys, tmp_path, monkeypatch):
     # the grid's verdicts are computed while it is written; an interrupt
-    # after the first line must not leave a truncated file
+    # after the first band must not leave a truncated file
     target = tmp_path / "cone.csv"
     target.write_text("old\n")
     os.chmod(target, 0o640)
     argv = ["cone", "--series", "A", "--rank", "3", "--parabolic", "borel",
             "--grid", "3", "--out", str(target)]
-    line_verdicts = cli._line_verdicts
+    sample_band = cli.sample_band
 
     def interrupted(*args):
-        monkeypatch.setattr(cli, "_line_verdicts", interrupt)
-        return line_verdicts(*args)
+        monkeypatch.setattr(cli, "sample_band", interrupt)
+        return sample_band(*args)
 
     def interrupt(*args):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "_line_verdicts", interrupted)
+    monkeypatch.setattr(cli, "sample_band", interrupted)
     with pytest.raises(KeyboardInterrupt):
         cli.main(argv)
     assert target.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["cone.csv"]
-    monkeypatch.setattr(cli, "_line_verdicts", line_verdicts)
+    monkeypatch.setattr(cli, "sample_band", sample_band)
     assert run_cli(capsys, argv) == (0, "", "")
     expected = run_cli(capsys, argv[:-2])[1]
     assert target.read_text() == expected

@@ -662,3 +662,136 @@ def test_interval_bounds_hold_at_every_point_of_the_run(run):
             assert all(h_sums[r] < 0 for h_sums in sums)
         if i == j:
             assert low == high == prod(degrees[0]) * sums[0][r]
+
+
+# slabs of k = 2, 3 and 4 parameters: the last two coordinates vary
+RECT_CASES = [case for case in LINE_CASES if 2 <= len(case[2]) <= 4]
+
+
+@st.composite
+def slab_rectangles(draw, most=40):
+    """A cone, a slab prefix and a rectangle of the slab's last two coordinates.
+
+    The rectangle has its low corner at (a, b) and spans ``lines`` values
+    of the second-to-last coordinate and ``count`` of the last.  Half the
+    draws take a cone of ``BOUNDARY_RAYS`` (k = 2) and put a multiple of
+    its ray inside the rectangle, so that its boundary crosses it.
+    """
+    if draw(st.booleans()):
+        case = draw(st.sampled_from(RECT_CASES))
+        prefix = draw(st.tuples(*[st.integers(1, 12)] * (len(case[2]) - 2)))
+        a, b = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+        return case, prefix, a, b, draw(st.integers(1, most)), draw(st.integers(1, most))
+    case, ray = draw(st.sampled_from(BOUNDARY_RAYS))
+    g = draw(st.integers(1, 30))
+    below = [draw(st.integers(0, min(g * r, most) - 1)) for r in ray]
+    a, b = (g * r - x for r, x in zip(ray, below))
+    return (case, (), a, b) + tuple(draw(st.integers(x + 1, most)) for x in below)
+
+
+def _expand(runs):
+    """The verdict of each point of a line, from its ``(stop, verdict)`` runs."""
+    verdicts = []
+    for stop, verdict in runs:
+        assert stop > len(verdicts)
+        verdicts += [verdict] * (stop - len(verdicts))
+    return verdicts
+
+
+def _rectangle_degrees(cone, prefix, a, b):
+    """The kernel's L_c at the low corner, and its steps along the two coordinates."""
+    firsts = [sum(f * x for f, x in zip(form, prefix + (a, b))) for form in cone.forms]
+    return firsts, [form[-2] for form in cone.forms], [form[-1] for form in cone.forms]
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(slab_rectangles())
+def test_rectangle_kernel_matches_the_plain_verdict_at_every_point(rect):
+    case, prefix, a, b, lines, count = rect
+    cone = _line_cone(case)
+    runs = stability._runs(list(cone.rows), *_rectangle_degrees(cone, prefix, a, b), lines, count)
+    assert len(runs) == lines
+    for i, line in enumerate(runs):
+        assert _expand(line) == [
+            _plain_verdict(cone, prefix + (a + i, b + j)) for j in range(count)
+        ]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(slab_rectangles(most=12))
+def test_rectangle_bounds_hold_at_every_point_of_the_rectangle(rect):
+    # each L_c has non-negative coefficients, so over the rectangle it lies
+    # between its values at the low and the high corner, and the doubled
+    # bounds from the two corners enclose 2 * Q * sum_c row[c] / L_c at
+    # every point of the rectangle
+    case, prefix, a, b, lines, count = rect
+    cone = _line_cone(case)
+    points = [prefix + (a + i, b + j) for i in range(lines) for j in range(count)]
+    degrees = [[sum(f * x for f, x in zip(form, h)) for form in cone.forms] for h in points]
+    q = prod(degrees[0]) * prod(degrees[-1])
+    ends = stability._ends(degrees[0], degrees[-1])
+    raw = [q // d for d in degrees[0]], [q // d for d in degrees[-1]]
+    sums = [_row_sums(cone, h) for h in points]
+    for r, row in enumerate(cone.rows):
+        low, high = stability._doubled_bounds(row, ends)
+        assert stability._interval_bounds(row, raw) == (low // 2, high // 2)
+        for h_degrees, h_sums in zip(degrees, sums):
+            d = prod(h_degrees)
+            assert low * d <= 2 * q * h_sums[r] <= high * d
+        if low > 0:
+            assert all(h_sums[r] > 0 for h_sums in sums)
+        if high < 0:
+            assert all(h_sums[r] < 0 for h_sums in sums)
+        if len(points) == 1:
+            assert low == high == 2 * prod(degrees[0]) * sums[0][r]
+
+
+def test_cuts_are_the_combinations_in_order():
+    for n in range(7):
+        for m in range(n + 1):
+            combos = list(itertools.combinations(range(1, n + 1), m))
+            assert [stability._cuts(rank, n, m) for rank in range(len(combos))] == combos
+            assert [stability._next_cuts(c, n) for c in combos] == combos[1:] + [None]
+
+
+def _band_points(k, prefix, grid, section, count):
+    """The points of one line of a band, as ``sample_band`` lays them out."""
+    if grid:
+        return [prefix + (j,) for j in range(1, count + 1)]
+    if k == 1:
+        return [(section,)]
+    rest = section - sum(prefix)
+    return [prefix + (j, rest - j) for j in range(1, count + 1)]
+
+
+@pytest.mark.parametrize("band_lines", [1, 2, 5])
+def test_bands_of_any_size_list_the_sample_in_order(monkeypatch, band_lines):
+    # small bands start a grid band inside a slab and a section band at an
+    # unranked cut; every point against the plain verdict, in sample order
+    samples = [(("A", 2, (1,)), 7, 0), (("A", 2, (1,)), 0, 5),
+               (("A", 3, (1, 2)), 9, 0), (("A", 3, (1, 2)), 0, 11),
+               (("A", 3, (1, 2, 3)), 5, 0), (("A", 3, (1, 2, 3)), 0, 9),
+               (("A", 4, (1, 2, 3, 4)), 3, 0), (("A", 4, (1, 2, 3, 4)), 0, 9),
+               (("A", 5, (1, 2, 3, 4, 5)), 0, 8), (("A", 3, (1, 2, 3)), 0, 2)]
+    for case, grid, section in samples:
+        cone = _line_cone(case)
+        k = len(case[2])
+        if grid:
+            expected = list(itertools.product(range(1, grid + 1), repeat=k))
+        else:
+            expected = [tuple(b - a for a, b in zip((0,) + c, c + (section,)))
+                        for c in itertools.combinations(range(1, section), k - 1)]
+        monkeypatch.setattr(stability, "_BAND_LINES", band_lines)
+        listed = []
+        band = 0
+        while lines := stability.sample_band(cone, grid, section, band):
+            assert len(lines) <= band_lines
+            for prefix, runs in lines:
+                verdicts = _expand(runs)
+                points = _band_points(k, prefix, grid, section, len(verdicts))
+                assert verdicts == [_plain_verdict(cone, h) for h in points]
+                listed += points
+            band += 1
+        assert listed == expected, (case, grid, section)
