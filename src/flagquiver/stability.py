@@ -341,14 +341,14 @@ def _runs(order, firsts, di, dj, lines, count):
                 parts += [(i, j0, i, j1, active) for i in range(i1, i0 - 1, -1)]
                 continue
             line = runs[i0]
-            low = degrees(i0, j0)
-            (verdict,) = _verdicts(active, [low])
+            start = degrees(i0, j0)
+            (verdict,) = _verdicts(active, [start])
             if verdict is UNSTABLE:
                 _to_front(order, active[0])
-                if j1 > j0 and _doubled_bounds(active[0], _ends(low, degrees(i0, j1)))[1] < 0:
+                if j1 > j0 and _doubled_bounds(active[0], _ends(start, degrees(i0, j1)))[1] < 0:
                     line.append((j1 + 1, UNSTABLE))
                     continue
-            points = zip(*map(itertools.count, low, dj))
+            points = zip(*map(itertools.count, start, dj))
             verdicts = [verdict] + _verdicts(active, itertools.islice(points, 1, j1 - j0 + 1))
             if UNSTABLE in verdicts:
                 _to_front(order, active[0])
@@ -390,11 +390,11 @@ def _to_front(rows, row):
         rows.insert(0, row)
 
 
-def _line_runs(cone, order, start, step, count):
+def _line_runs(cone, start, step, count):
     """``_runs`` of the single line start + j * step, j in range(count)."""
     firsts = [sum(map(mul, form, start)) for form in cone.forms]
     steps = [sum(map(mul, form, step)) for form in cone.forms]
-    return _runs(order, firsts, steps, steps, 1, count)[0]
+    return _runs(list(cone.rows), firsts, steps, steps, 1, count)[0]
 
 
 def _line_verdicts(cone, start, step, count):
@@ -406,7 +406,7 @@ def _line_verdicts(cone, start, step, count):
     """
     verdicts = []
     done = 0
-    for stop, verdict in _line_runs(cone, list(cone.rows), start, step, count):
+    for stop, verdict in _line_runs(cone, start, step, count):
         verdicts += [verdict] * (stop - done)
         done = stop
     return verdicts
@@ -464,6 +464,8 @@ def sample_band(cone, grid, section, band):
     sample is a single line with prefix (): {1..grid}, or the one point
     (section,).
     """
+    if min(grid, section) < 0 or (grid > 0) == (section > 0):
+        raise ValueError("give one of grid and section, >= 1, and the other 0")
     forms = cone.forms
     k = len(forms[0])
     if grid and k > 1:
@@ -485,7 +487,7 @@ def sample_band(cone, grid, section, band):
         if band:
             return []
         start, step, count = ((1,), (1,), grid) if grid else ((section,), (0,), 1)
-        return [((), _line_runs(cone, list(cone.rows), start, step, count))]
+        return [((), _line_runs(cone, start, step, count))]
     total = comb(section - 2, k - 2) if section > 1 else 0
     first = band * _BAND_LINES
     cuts = _cuts(first, section - 2, k - 2) if first < total else None

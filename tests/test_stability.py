@@ -544,7 +544,7 @@ BOUNDARY_RAYS = [
     (("D", 4, (2, 4)), (1, 1)),
 ]
 
-# short lines go point by point; a line of at least 8 points per row is
+# short lines go point by point; a line of more than 4 points per row is
 # decided in certified runs
 LINE_COUNTS = st.one_of(st.integers(1, 12), st.integers(13, 400))
 
@@ -795,3 +795,10 @@ def test_bands_of_any_size_list_the_sample_in_order(monkeypatch, band_lines):
                 listed += points
             band += 1
         assert listed == expected, (case, grid, section)
+
+
+def test_sample_band_takes_one_sample_size():
+    cone = _line_cone(("A", 3, (1, 2)))
+    for grid, section in ((0, 0), (3, 3), (-1, 0), (0, -2), (-1, 4)):
+        with pytest.raises(ValueError):
+            stability.sample_band(cone, grid, section, 0)
