@@ -23,7 +23,6 @@ from .parabolic import (
     ParabolicData,
     borel,
     build_parabolic,
-    is_levi_dominant,
     levi_components,
 )
 from .polynomials import IntPoly, multinomial
@@ -35,7 +34,6 @@ from .quiver import (
     InducedQuiver,
     QuiverRep,
     RelationInstance,
-    induced_quiver,
     relation_instances,
     to_dot,
     verify_flatness,

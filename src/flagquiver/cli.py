@@ -11,7 +11,7 @@ import itertools
 import math
 import os
 import sys
-from json.encoder import encode_basestring_ascii
+from _json import encode_basestring_ascii
 from operator import add, sub
 
 from . import quiver as quiver_mod

@@ -1,10 +1,12 @@
 """Parabolic subgroups: Levi/nilradical split and tangent-bundle weights."""
 from __future__ import annotations
 
+from itertools import compress
 from math import prod
+from operator import not_
 
 from .errors import ComponentVerificationFailed, EmptySigma
-from .rootsys import _dot2, coroot_pairing
+from .rootsys import _dot2
 
 
 class ParabolicData:
@@ -26,23 +28,16 @@ class ParabolicData:
         self.levi_simple_indices = tuple(
             i for i in range(1, system.rank + 1) if i not in sigma
         )
-        levi_pos, nilrad, degrees, positions = [], [], [], []
-        for k, r in enumerate(system.positive_roots):
-            exp = system.expansion(r)
-            degree = tuple(exp[i - 1] for i in sigma)
-            if any(degree):
-                nilrad.append(r)
-                degrees.append(degree)
-                positions.append(k)
-            else:
-                levi_pos.append(r)
-        self.levi_positive = tuple(levi_pos)
-        self.nilradical_weights = tuple(nilrad)
+        # coefficients of every positive root on the marked simple roots
+        degrees = list(zip(*(system._columns[i - 1] for i in sigma)))
+        nil = list(map(any, degrees))
+        self.levi_positive = tuple(compress(system.positive_roots, map(not_, nil)))
+        self.nilradical_weights = tuple(compress(system.positive_roots, nil))
         # positions in system.positive_roots, which index its root tables
-        self.nilradical_indices = tuple(positions)
+        self.nilradical_indices = tuple(compress(range(len(nil)), nil))
         # coefficients on the marked simple roots, aligned with the above
-        self.marked_degrees = tuple(degrees)
-        self.tangent_weights = tuple(-r for r in nilrad)
+        self.marked_degrees = tuple(compress(degrees, nil))
+        self.tangent_weights = tuple(compress(system.negative_roots, nil))
 
     @property
     def dim(self):
@@ -86,14 +81,6 @@ def build_parabolic(system, sigma):
 def borel(system):
     """The Borel case: every simple root marked."""
     return ParabolicData(system, range(1, system.rank + 1))
-
-
-def is_levi_dominant(lam, p):
-    """Dominance against the unmarked simple coroots only."""
-    return all(
-        coroot_pairing(lam, p.system.simple_root(i)) >= 0
-        for i in p.levi_simple_indices
-    )
 
 
 def levi_components(p):

@@ -7,7 +7,9 @@ and cached per (series, rank).
 """
 from __future__ import annotations
 
-from operator import add, ge
+from bisect import bisect_right
+from itertools import compress, count, repeat
+from operator import add
 from typing import NamedTuple
 
 from .errors import MismatchedSystem, OppositeRoots, UnsupportedType
@@ -15,6 +17,17 @@ from .errors import MismatchedSystem, OppositeRoots, UnsupportedType
 SERIES_A = "A"
 SERIES_D = "D"
 SERIES_E = "E"
+
+# Packed field widths: expansions over the simple roots, and pairings with
+# the simple coroots (see RootSystemData._enumerate_positive_roots).
+_EXP_BITS = 5
+_PAIR_BITS = 4
+
+
+def _guard_bits(rank):
+    """The top bit of each of ``rank`` packed pairing fields."""
+    return sum(1 << _PAIR_BITS - 1 << _PAIR_BITS * k for k in range(rank))
+
 
 def _dot2(u, v):
     return sum(a * b for a, b in zip(u, v))
@@ -108,15 +121,15 @@ class RootSystemData:
         self.simple_roots = tuple(
             Weight(c, self) for c in _simple_coords(series, rank, ambient)
         )
+        self.cartan_matrix = tuple(
+            tuple(_dot2(b.coords2, a.coords2) // 4 for b in self.simple_roots)
+            for a in self.simple_roots
+        )
         self._enumerate_positive_roots()
         self.negative_roots = tuple(-r for r in self.positive_roots)
         self.roots = self.positive_roots + self.negative_roots
         for r, exp in list(self._expansions.items()):
             self._expansions[tuple(-c for c in r)] = tuple(-e for e in exp)
-        self.cartan_matrix = tuple(
-            tuple(coroot_pairing(b, a) for b in self.simple_roots)
-            for a in self.simple_roots
-        )
         # Bimultiplicative sign function: -1 on the diagonal and on Dynkin
         # edges (i, j) with i > j, +1 elsewhere, encoded as bitmasks.
         self._eps_masks = []
@@ -126,10 +139,7 @@ class RootSystemData:
                 if i > j and self.cartan_matrix[i][j] == -1:
                     mask |= 1 << j
             self._eps_masks.append(mask)
-        two_rho = [0] * ambient
-        for r in self.positive_roots:
-            for k, c in enumerate(r.coords2):
-                two_rho[k] += c
+        two_rho = map(sum, zip(*(r.coords2 for r in self.positive_roots)))
         self.rho = Weight(tuple(c // 2 for c in two_rho), self)
         self._tables = None
         self._dominant = None
@@ -145,43 +155,97 @@ class RootSystemData:
 
         Only the simplicity check reads this table, so a process that
         builds the pair tables for anything else does not pay for it.
+
+        A nonzero dominant element of the root lattice is a nonnegative
+        combination of simple roots, so it has positive height: only the
+        ``j`` with ``ht(alpha_j) <= ht(alpha_i)`` are compared.  The
+        difference is dominant iff every pairing of ``alpha_i`` with a
+        simple coroot is at least that of ``alpha_j``.  On the packed
+        pairings (``_enumerate_positive_roots``) that is one subtraction:
+        with the guard bit of every field set in the first operand, a field
+        reads ``8 + a - b`` in ``1..15``, so no field borrows from the
+        next, and its guard bit survives iff ``a >= b``.
         """
         if self._dominant is None:
-            pairings = [r.fundamental for r in self.positive_roots]
-            self._dominant = tuple(
-                (i, j)
-                for i, fi in enumerate(pairings)
-                for j, fj in enumerate(pairings)
-                if all(map(ge, fi, fj))
-            )
+            pairings = self._pairings
+            heights = self._heights
+            guard = _guard_bits(self.rank)
+            pairs = []
+            for i, (p, h) in enumerate(zip(pairings, heights)):
+                diffs = map((p | guard).__sub__, pairings[:bisect_right(heights, h)])
+                kept = map(guard.__eq__, map(guard.__and__, diffs))
+                pairs += zip(repeat(i), compress(count(), kept))
+            self._dominant = tuple(pairs)
         return self._dominant
 
     def _enumerate_positive_roots(self):
+        """Walk the positive roots up from the simple roots, one height at a time.
+
+        Each root is carried as its expansion over the simple roots packed
+        ``_EXP_BITS`` bits per coefficient, its pairings with the simple
+        coroots packed ``_PAIR_BITS`` bits per coordinate (offset by 1, so
+        they lie in ``0..3``), and its doubled coordinates.  Adding the
+        simple root ``alpha_i`` adds ``1 << _EXP_BITS * i`` to the first,
+        row ``i`` of the Cartan matrix to the second and ``alpha_i``'s
+        coordinates to the third.  In a simply-laced system a root
+        ``beta != alpha_i`` pairs with ``alpha_i^vee`` in ``-1..1``, and
+        ``beta + alpha_i`` is a root iff that pairing is -1: root strings
+        have length at most 1, so ``beta - alpha_i`` is then not a root.
+
+        The roots are kept in order of height, then doubled coordinates.
+        A coefficient of a positive root is at most the highest root's, at
+        most 6 (E8), so a sum of two packed expansions stays below 32 in
+        every field: it adds without a carry and is the packed expansion
+        of the sum.  A positive root pairs with a simple coroot in
+        ``-1..2``, so every packed pairing field stays below its guard bit.
+        Both bounds are checked here.
+        """
+        rank = self.rank
+        field = (1 << _EXP_BITS) - 1
+        pair_field = (1 << _PAIR_BITS) - 1
+        steps = [1 << _EXP_BITS * i for i in range(rank)]
+        rows = [
+            sum(c << _PAIR_BITS * k for k, c in enumerate(row))
+            for row in self.cartan_matrix
+        ]
+        ones = sum(1 << _PAIR_BITS * k for k in range(rank))
         simples = [w.coords2 for w in self.simple_roots]
-        expansions = {}
-        for i, c in enumerate(simples):
-            e = [0] * self.rank
-            e[i] = 1
-            expansions[c] = tuple(e)
-        frontier = list(simples)
-        while frontier:
+        moves = list(enumerate(zip(simples, steps, rows)))
+        known = set(steps)
+        level = list(zip(simples, steps, (ones + r for r in rows)))
+        levels = []
+        while level:
+            level.sort()
+            levels.append(level)
             nxt = []
-            for rc in frontier:
-                for i, sc in enumerate(simples):
-                    cand = tuple(a + b for a, b in zip(rc, sc))
-                    if cand in expansions:
-                        continue
-                    below = tuple(a - b for a, b in zip(rc, sc))
-                    p = 1 if below in expansions else 0
-                    if p - _dot2(rc, sc) // 4 >= 1:
-                        e = list(expansions[rc])
-                        e[i] += 1
-                        expansions[cand] = tuple(e)
-                        nxt.append(cand)
-            frontier = nxt
-        ordered = sorted(expansions, key=lambda c: (sum(expansions[c]), c))
-        self.positive_roots = tuple(Weight(c, self) for c in ordered)
-        self._expansions = expansions
+            for coords, code, pairing in level:
+                for i, (sc, step, row) in moves:
+                    cand = code + step
+                    # field i is 0 iff <beta, alpha_i^vee> = -1
+                    if not pairing >> _PAIR_BITS * i & pair_field and cand not in known:
+                        known.add(cand)
+                        nxt.append((tuple(map(add, coords, sc)), cand, pairing + row))
+            level = nxt
+        ordered = [root for level in levels for root in level]
+        codes = tuple(code for _, code, _ in ordered)
+        shifts = range(0, _EXP_BITS * rank, _EXP_BITS)
+        self._columns = tuple(
+            tuple(code >> shift & field for code in codes) for shift in shifts
+        )
+        # the highest root, last in the order, has the largest coefficients
+        if 2 * max(column[-1] for column in self._columns) > field:
+            raise ArithmeticError("a sum of two roots would carry between packed fields")
+        self._pairings = tuple(pairing for _, _, pairing in ordered)
+        if any(map(_guard_bits(rank).__and__, self._pairings)):
+            raise ArithmeticError("a simple-coroot pairing overflows its packed field")
+        self._codes = codes
+        self._heights = tuple(
+            h for h, level in enumerate(levels, 1) for _ in level
+        )
+        self.positive_roots = tuple(Weight(c, self) for c, _, _ in ordered)
+        self._expansions = dict(zip(
+            (c for c, _, _ in ordered), zip(*self._columns)
+        ))
 
     def weight(self, coords2):
         """Build a weight of this system from doubled coordinates."""
@@ -249,20 +313,46 @@ class _RootTables(NamedTuple):
 
 
 def _build_root_tables(system):
+    """The pair tables, on the packed expansions of the positive roots.
+
+    A pair whose heights add up to more than the highest root's has no
+    root as its sum, so it is not tried.  Packed expansions add without a
+    carry, so ``alpha_i + alpha_j`` is a root iff the sum of their codes is
+    a root's code.  The sign of ``chevalley_constant(alpha_i, alpha_j)`` is
+    the parity of ``odd(alpha_j) & T(alpha_i)``, where ``odd`` marks the odd
+    coefficients and ``T(alpha)`` is the XOR of ``_eps_masks[k]`` over the
+    odd coefficients ``k`` of ``alpha``: the bimultiplicative function, one
+    popcount per pair.  Both masks are spread to the low bit of each packed
+    field, so ``odd(alpha_j) & T(alpha_i)`` is ``codes[j] & T(alpha_i)``.
+    """
     roots = system.positive_roots
-    index = {r.coords2: i for i, r in enumerate(roots)}
+    codes = system._codes
+    heights = system._heights
+    code_index = {c: i for i, c in enumerate(codes)}
+    spread = [
+        sum(1 << _EXP_BITS * j for j in range(system.rank) if mask >> j & 1)
+        for mask in system._eps_masks
+    ]
+    twist = [0] * len(codes)
+    for column, eps in zip(system._columns, spread):
+        for i in compress(count(), map((1).__and__, column)):
+            twist[i] ^= eps
+    top = heights[-1]
     sums = {}
-    for i, alpha in enumerate(roots):
-        for j in range(i + 1, len(roots)):
-            beta = roots[j]
-            s = index.get(tuple(map(add, alpha.coords2, beta.coords2)))
-            if s is not None:
-                sums[i, j] = (s, chevalley_constant(alpha, beta))
     brackets = [[] for _ in roots]
     parts = [0] * len(roots)
-    for (i, j), (s, n) in sums.items():
-        brackets[s].append((i, j, n))
-        parts[s] |= 1 << i | 1 << j
+    for i, (ci, ti, h) in enumerate(zip(codes, twist, heights)):
+        end = bisect_right(heights, top - h)
+        if end <= i + 1:
+            break
+        found = list(map(code_index.get, map(ci.__add__, codes[i + 1:end])))
+        # a sum has height at least 2, so its index is never 0
+        for j, s in zip(compress(count(i + 1), found), filter(None, found)):
+            n = -1 if (codes[j] & ti).bit_count() & 1 else 1
+            sums[i, j] = (s, n)
+            brackets[s].append((i, j, n))
+            parts[s] |= 1 << i | 1 << j
+    index = {r.coords2: i for i, r in enumerate(roots)}
     return _RootTables(index, sums, tuple(map(tuple, brackets)), tuple(parts))
 
 

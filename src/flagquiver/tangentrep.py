@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 from .errors import NotMultiplicityFree
 from .parabolic import borel, levi_components
-from .quiver import FULL, Arrow, InducedQuiver, QuiverRep, induced_quiver
+from .quiver import FULL, Arrow, InducedQuiver, QuiverRep
 
 VERDICT_SIMPLE = "SIMPLE"
 VERDICT_WEAKLY_SIMPLE_ONLY = "WEAKLY_SIMPLE_ONLY"
@@ -44,6 +44,7 @@ class SimplicityReport(NamedTuple):
 _BOREL_ARROWS = {}
 
 _ONE = ((1,),)
+_MAPS = {1: _ONE, -1: ((-1,),)}
 
 
 class _BorelArrows(NamedTuple):
@@ -52,9 +53,9 @@ class _BorelArrows(NamedTuple):
     Vertex ``i`` is ``-alpha_i``, so vertex and positive-root indices agree.
     An arrow runs from ``src`` to ``dst`` along the root ``label``, with the
     1x1 map ``((scalar,),)``; ``weights`` holds each arrow's label as a
-    ``Weight`` and ``maps`` its map.  The rows keep ``induced_quiver``'s
-    order: by source, then by label.  ``borel`` is the parabolic every
-    restriction keeps as its quiver's ``parabolic``.
+    ``Weight`` and ``maps`` its map.  The rows are ordered by source, then
+    by label.  ``borel`` is the parabolic every restriction keeps as its
+    quiver's ``parabolic``.
     """
 
     borel: object
@@ -66,31 +67,36 @@ class _BorelArrows(NamedTuple):
 
 
 def _borel_arrows(system):
-    """The Borel tangent quiver of ``system``, found once per root system.
+    """The Borel tangent quiver of ``system``, read once per root system.
 
-    An arrow with label alpha_a runs from -alpha_j to -alpha_b, where
-    alpha_j = alpha_a + alpha_b.  Its scalar N(alpha_a, -alpha_j) is
-    -N(alpha_a, alpha_b): the sign function is bimultiplicative, depends on
-    a root only mod 2, and is -1 on (alpha, alpha).
+    An arrow with label alpha_a runs from -alpha_s to -alpha_b exactly when
+    alpha_s = alpha_a + alpha_b, so each bracket ``(i, j, n)`` of the root
+    tables under ``s`` gives two arrows out of -alpha_s: one to -alpha_j
+    labelled alpha_i, one to -alpha_i labelled alpha_j.  The scalar of an
+    arrow is N(alpha_a, -alpha_s) = -N(alpha_a, alpha_b): the sign function
+    is bimultiplicative, depends on a root only mod 2, and is -1 on
+    (alpha, alpha).  That is -n on the first arrow and n on the second.
+    A label fixes the target, so sorting a source's arrows by label orders
+    them.
     """
     table = _BOREL_ARROWS.get(system)
     if table is None:
-        b = borel(system)
-        arrows = induced_quiver(b, b.tangent_weights, FULL).arrows
-        tables = system._root_tables()
-        dst = tuple(a.dst for a in arrows)
-        label = tuple(tables.index[a.label.coords2] for a in arrows)
-        maps = {1: _ONE, -1: ((-1,),)}
+        src, dst, label, maps = [], [], [], []
+        for s, pairs in enumerate(system._root_tables().brackets):
+            rows = [(i, j, -n) for i, j, n in pairs] + [(j, i, n) for i, j, n in pairs]
+            rows.sort()
+            for a, b, n in rows:
+                src.append(s)
+                dst.append(b)
+                label.append(a)
+                maps.append(_MAPS[n])
         table = _BOREL_ARROWS[system] = _BorelArrows(
-            b,
-            tuple(a.src for a in arrows),
-            dst,
-            label,
-            tuple(a.label for a in arrows),
-            tuple(
-                maps[-tables.sums[a, d][1] if a < d else tables.sums[d, a][1]]
-                for a, d in zip(label, dst)
-            ),
+            borel(system),
+            tuple(src),
+            tuple(dst),
+            tuple(label),
+            tuple(map(system.positive_roots.__getitem__, label)),
+            tuple(maps),
         )
     return table
 
@@ -131,12 +137,11 @@ def tangent_rep(p):
     """Quiver representation of the (pulled-back) tangent bundle of G/P.
 
     The Borel-level quiver is the Borel tangent quiver of the root system
-    (``_borel_arrows``, searched by ``induced_quiver`` once per root system
+    (``_borel_arrows``, read off the bracket table once per root system
     and kept in ``_BOREL_ARROWS``) restricted to the nilradical of ``p``:
     an arrow is kept when both of its ends are nilradical roots.  Vertices
     are renumbered by their position among the nilradical roots, which is
-    monotone, so the arrows keep the (source, label) order of a direct
-    ``induced_quiver`` search on ``p.tangent_weights``.
+    monotone, so the arrows stay in (source, label) order.
 
     The Levi-level quiver is the quotient by the Levi components.  A label
     of marked degree zero keeps an arrow inside its component and any other

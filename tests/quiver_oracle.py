@@ -1,12 +1,78 @@
 """Weight-arithmetic routes for the tangent quiver: the independent oracle.
 
-The library finds arrows on packed integers, reads relation pairs, arrow
-scalars and dominant sums from the root system's pair tables, and decides
-the connectivity of closed subsets inside their walk.  These are the
-direct loops over ``Weight`` objects that the tables replaced; the tests
-compare the two exactly.
+The library reads arrows, relation pairs, arrow scalars and dominant sums
+from the root system's pair tables, and decides the connectivity of
+closed subsets inside their walk.  These are the direct searches and loops
+over ``Weight`` objects that the tables replaced; the tests compare the
+two exactly.
 """
-from flagquiver import FULL, QuiverRep, RelationInstance, chevalley_constant
+from flagquiver import (
+    FULL,
+    REDUCED,
+    Arrow,
+    InducedQuiver,
+    MismatchedSystem,
+    NotLeviDominant,
+    QuiverRep,
+    RelationInstance,
+    chevalley_constant,
+    coroot_pairing,
+)
+
+
+def is_levi_dominant(lam, p):
+    """Dominance against the unmarked simple coroots only."""
+    return all(
+        coroot_pairing(lam, p.system.simple_root(i)) >= 0
+        for i in p.levi_simple_indices
+    )
+
+
+def induced_quiver(p, vertex_weights, mode=FULL):
+    """Arrows between the given weights along nilradical weights.
+
+    FULL mode uses every nilradical weight as a possible arrow label;
+    REDUCED mode only the marked-degree-one generators.
+
+    Arrows are found on packed integers.  With ``top`` the largest absolute
+    coordinate among the vertices and labels, a weight packs to the integer
+    whose digits in base ``4 * top + 1`` are its coordinates, each digit
+    taken in ``[-2 * top, 2 * top]``.  Such balanced digits are unique, so
+    the packing is injective on that box, and it is additive.  A vertex plus
+    a label has coordinates in the box, so it packs to a vertex's integer
+    exactly when it equals that vertex.
+    """
+    if mode not in (FULL, REDUCED):
+        raise ValueError(f"unknown mode {mode!r}")
+    vertices = tuple(vertex_weights)
+    labels = p.nilradical_weights if mode == FULL else p.generator_weights
+    top = max((abs(c) for w in vertices + labels for c in w.coords2), default=0)
+    base = 4 * top + 1
+
+    def pack(w):
+        code = 0
+        for c in w.coords2:
+            code = code * base + c
+        return code
+
+    index = {}
+    for i, w in enumerate(vertices):
+        if w.system is not p.system:
+            raise MismatchedSystem("weights belong to different root systems")
+        code = pack(w)
+        if code in index:
+            raise ValueError(f"duplicate vertex weight {w}")
+        if not is_levi_dominant(w, p):
+            raise NotLeviDominant(f"{w} is not Levi-dominant for sigma={p.sigma}")
+        index[code] = i
+    steps = [(pack(a), a) for a in labels]
+    arrows = []
+    for code, i in index.items():
+        for step, a in steps:
+            j = index.get(code + step)
+            if j is not None:
+                arrows.append(Arrow(i, j, a))
+    return InducedQuiver(vertices, arrows, mode, p)
 
 
 def arrows(p, vertex_weights, mode=FULL):

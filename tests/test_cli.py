@@ -20,11 +20,11 @@ from flagquiver import (
     build_root_system,
     chevalley_constant,
     cli,
-    induced_quiver,
     stability_cone,
 )
 
 from cone_oracle import cone_json, cone_membership
+from quiver_oracle import induced_quiver
 
 
 def run_cli(capsys, argv):

@@ -7,10 +7,10 @@ from flagquiver import (
     build_parabolic,
     build_root_system,
     degree_cone,
-    is_levi_dominant,
     levi_components,
 )
 from conftest import all_parabolics, root_combo
+from quiver_oracle import is_levi_dominant
 
 
 def test_borel_tangent_weights_are_all_negative_roots():

@@ -15,7 +15,6 @@ from flagquiver import (
     build_parabolic,
     build_root_system,
     chevalley_constant,
-    induced_quiver,
     relation_instances,
     tangent_rep,
     to_dot,
@@ -23,6 +22,7 @@ from flagquiver import (
 )
 
 import quiver_oracle as oracle
+from quiver_oracle import induced_quiver
 
 
 def brute_force_arrows(p, vertices, labels):

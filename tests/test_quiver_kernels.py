@@ -17,14 +17,15 @@ from flagquiver import (
     build_root_system,
     closed_subsets,
     dominant_sum_check,
-    induced_quiver,
     levi_components,
     relation_instances,
     tangent_rep,
     verify_flatness,
 )
+from flagquiver.tangentrep import _borel_arrows
 
 import quiver_oracle as oracle
+from quiver_oracle import induced_quiver
 from conftest import all_parabolics
 
 ALL_PARABOLICS = (
@@ -80,6 +81,25 @@ def test_tangent_quiver_kernels_match_the_oracle(series, rank):
         )
         levi_rels = oracle.relations(levi, range(len(tops)))
         assert verify_flatness(ones) == oracle.flatness(ones, levi_rels), p
+
+
+@pytest.mark.parametrize(
+    "series,rank",
+    [("A", n) for n in range(1, 9)] + [("D", n) for n in range(4, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("A", 24), ("D", 24)],
+)
+def test_borel_arrow_table_is_the_induced_borel_quiver(series, rank):
+    system = build_root_system(series, rank)
+    table = _borel_arrows(system)
+    b = borel(system)
+    q = induced_quiver(b, b.tangent_weights, FULL)
+    index = {r: i for i, r in enumerate(system.positive_roots)}
+    assert table.src == tuple(a.src for a in q.arrows)
+    assert table.dst == tuple(a.dst for a in q.arrows)
+    assert table.weights == tuple(a.label for a in q.arrows)
+    assert table.label == tuple(index[a.label] for a in q.arrows)
+    maps = oracle.tangent_maps(q)
+    assert table.maps == tuple(maps[k] for k in range(len(q.arrows)))
 
 
 def test_packed_arrow_search_on_large_non_root_weights():

@@ -166,27 +166,58 @@ def test_dominant_pair_table_is_the_diagonal(series, rank):
     )
 
 
-@pytest.mark.parametrize("series,rank", ALL_SYSTEMS)
+@pytest.mark.parametrize("series,rank", ALL_SYSTEMS + [("A", 24), ("D", 24)])
 def test_root_sum_table_matches_weight_arithmetic(series, rank):
     system = build_root_system(series, rank)
     tables = system._root_tables()
     roots = system.positive_roots
+    position = {r: i for i, r in enumerate(roots)}
     assert tables.index == {r.coords2: i for i, r in enumerate(roots)}
     expected = {}
+    by_sum = [[] for _ in roots]
     for i, j in combinations(range(len(roots)), 2):
         s = roots[i] + roots[j]
         if s.is_root:
-            expected[i, j] = (roots.index(s), chevalley_constant(roots[i], roots[j]))
+            n = chevalley_constant(roots[i], roots[j])
+            expected[i, j] = (position[s], n)
+            by_sum[position[s]].append((i, j, n))
     assert tables.sums == expected
     assert list(tables.sums) == sorted(tables.sums)
     # the same pairs listed by their sum, and the i with alpha_s - alpha_i positive
+    assert tables.brackets == tuple(map(tuple, by_sum))
     positive = set(roots)
     for s, root in enumerate(roots):
-        pairs = [(i, j) for i, j in combinations(range(len(roots)), 2)
-                 if roots[i] + roots[j] == root]
-        assert tables.brackets[s] == tuple((i, j, expected[i, j][1]) for i, j in pairs)
         below = [i for i, r in enumerate(roots) if root - r in positive]
         assert tables.parts[s] == sum(1 << i for i in below)
+
+
+def closed_form_positive_roots(series, rank):
+    """``(height, doubled coordinates)`` of each positive root of A or D.
+
+    A_n: e_i - e_j (i < j) of height j - i in n + 1 coordinates.  D_n: the
+    same in n coordinates, and e_i + e_j (i < j) of height 2n - i - j,
+    counting from 1.
+    """
+    dim = rank + 1 if series == "A" else rank
+    out = []
+    for i, j in combinations(range(1, dim + 1), 2):
+        for sign, height in ((-2, j - i), (2, 2 * dim - i - j)):
+            if sign == 2 and series == "A":
+                continue
+            c = [0] * dim
+            c[i - 1], c[j - 1] = 2, sign
+            out.append((height, tuple(c)))
+    return sorted(out)
+
+
+@pytest.mark.parametrize(
+    "series,rank", [("A", n) for n in range(1, 25)] + [("D", n) for n in range(4, 25)]
+)
+def test_positive_roots_match_their_closed_forms(series, rank):
+    system = build_root_system(series, rank)
+    expected = closed_form_positive_roots(series, rank)
+    assert [r.coords2 for r in system.positive_roots] == [c for _, c in expected]
+    assert [system.height(r) for r in system.positive_roots] == [h for h, _ in expected]
 
 
 @pytest.mark.parametrize("series,rank", [("A", 3), ("D", 4)])
