@@ -4,6 +4,13 @@ All weights are stored in doubled epsilon-coordinates (twice the usual
 coordinates), so the half-integer entries of the E series stay integral
 and every computation is exact.  Root systems are immutable once built
 and cached per (series, rank).
+
+Their tables are built on packed integers: a positive root's expansion
+over the simple roots takes 5 bits per coefficient, and its pairings with
+the simple coroots 4 bits per coordinate.  A coefficient is at most 6 (the
+highest root of E8), so two expansions add without a carry between fields,
+and a pairing is at most 2, below each field's guard bit; the build checks
+both bounds.
 """
 from __future__ import annotations
 
