@@ -2,11 +2,10 @@
 from __future__ import annotations
 
 from itertools import compress
-from math import prod
 from operator import not_
 
 from .errors import ComponentVerificationFailed, EmptySigma
-from .rootsys import _dot2
+from .rootsys import _weyl_dimension
 
 
 class ParabolicData:
@@ -98,7 +97,8 @@ def levi_components(p):
     iff ``parts[s]`` of the root tables holds no Levi root.  The Weyl
     dimension of the top ``t`` is the product of ``<t + rho_L, g> /
     <rho_L, g>`` over the Levi positive roots, with ``<rho_L, g>`` the
-    height of ``g``; numerator and denominator are integer products.
+    height of ``g``; numerator and denominator are integer products
+    (``rootsys._weyl_dimension``, shared with ``h0_dimension``).
     """
     system = p.system
     parts = system._root_tables().parts
@@ -110,7 +110,6 @@ def levi_components(p):
     for i, degree, w in zip(p.nilradical_indices, p.marked_degrees, p.tangent_weights):
         groups.setdefault(degree, []).append((i, w))
     levi_roots = [(g.coords2, system.height(g)) for g in p.levi_positive]
-    den = prod(h for _, h in levi_roots)
 
     components = []
     for degree, members in groups.items():
@@ -121,9 +120,7 @@ def levi_components(p):
                 f"component {weights} has {len(maximal)} Levi-maximal weights"
             )
         top = maximal[0]
-        # <t, g> is (2t . 2g) / 4 in doubled coordinates
-        num = prod(h + _dot2(top.coords2, g) // 4 for g, h in levi_roots)
-        dim, rest = divmod(num, den)
+        dim, rest = _weyl_dimension(top.coords2, levi_roots)
         if rest or dim <= 0:
             raise ComponentVerificationFailed(
                 f"Levi Weyl dimension of {top} is not a positive integer"

@@ -15,7 +15,8 @@ both bounds.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress, count, repeat
+from itertools import compress, count
+from math import prod
 from operator import add
 from typing import NamedTuple
 
@@ -149,41 +150,12 @@ class RootSystemData:
         two_rho = map(sum, zip(*(r.coords2 for r in self.positive_roots)))
         self.rho = Weight(tuple(c // 2 for c in two_rho), self)
         self._tables = None
-        self._dominant = None
 
     def _root_tables(self):
         """The positive-root pair tables, built on first use."""
         if self._tables is None:
             self._tables = _build_root_tables(self)
         return self._tables
-
-    def _dominant_pairs(self):
-        """The ``(i, j)`` with ``alpha_i - alpha_j`` dominant, built on first use.
-
-        Only the simplicity check reads this table, so a process that
-        builds the pair tables for anything else does not pay for it.
-
-        A nonzero dominant element of the root lattice is a nonnegative
-        combination of simple roots, so it has positive height: only the
-        ``j`` with ``ht(alpha_j) <= ht(alpha_i)`` are compared.  The
-        difference is dominant iff every pairing of ``alpha_i`` with a
-        simple coroot is at least that of ``alpha_j``.  On the packed
-        pairings (``_enumerate_positive_roots``) that is one subtraction:
-        with the guard bit of every field set in the first operand, a field
-        reads ``8 + a - b`` in ``1..15``, so no field borrows from the
-        next, and its guard bit survives iff ``a >= b``.
-        """
-        if self._dominant is None:
-            pairings = self._pairings
-            heights = self._heights
-            guard = _guard_bits(self.rank)
-            pairs = []
-            for i, (p, h) in enumerate(zip(pairings, heights)):
-                diffs = map((p | guard).__sub__, pairings[:bisect_right(heights, h)])
-                kept = map(guard.__eq__, map(guard.__and__, diffs))
-                pairs += zip(repeat(i), compress(count(), kept))
-            self._dominant = tuple(pairs)
-        return self._dominant
 
     def _enumerate_positive_roots(self):
         """Walk the positive roots up from the simple roots, one height at a time.
@@ -239,8 +211,7 @@ class RootSystemData:
         self._columns = tuple(
             tuple(code >> shift & field for code in codes) for shift in shifts
         )
-        # the highest root, last in the order, has the largest coefficients
-        if 2 * max(column[-1] for column in self._columns) > field:
+        if 2 * max(map(max, self._columns)) > field:
             raise ArithmeticError("a sum of two roots would carry between packed fields")
         self._pairings = tuple(pairing for _, _, pairing in ordered)
         if any(map(_guard_bits(rank).__and__, self._pairings)):
@@ -435,22 +406,21 @@ def h0_dimension(lam):
     if not is_dominant(lam):
         return 0
     system = lam.system
-    dim = _weyl_dimension(lam.coords2, system.rho.coords2, system.positive_roots)
-    if dim.denominator != 1:
+    roots = [(r.coords2, h) for r, h in zip(system.positive_roots, system._heights)]
+    dim, rest = _weyl_dimension(lam.coords2, roots)
+    if rest:
         raise ValueError("Weyl dimension did not come out integral")
-    return int(dim)
+    return dim
 
 
-def _weyl_dimension(lam2, rho2, positive_roots):
-    """prod_alpha <lam + rho, alpha> / <rho, alpha>, as an exact Fraction.
+def _weyl_dimension(lam2, roots):
+    """``divmod`` of the Weyl dimension formula's numerator by its denominator.
 
-    Scaling lam and rho by one common factor leaves the value unchanged.
+    ``roots`` holds ``(coords2, height)`` of the positive roots of a
+    simply-laced system, or of a Levi subsystem: there ``<rho, g>`` is the
+    height of ``g``, so the formula is the product of ``ht g + <lam, g>``
+    over the product of ``ht g``, both integers.  ``lam2`` is a weight in
+    doubled coordinates, where ``<lam, g>`` is ``lam2 . g / 4``.
     """
-    from fractions import Fraction  # imported here: no other code makes one
-
-    num2 = tuple(a + b for a, b in zip(lam2, rho2))
-    num = den = 1
-    for alpha in positive_roots:
-        num *= _dot2(num2, alpha.coords2)
-        den *= _dot2(rho2, alpha.coords2)
-    return Fraction(num, den)
+    num = prod(h + _dot2(lam2, g) // 4 for g, h in roots)
+    return divmod(num, prod(h for _, h in roots))

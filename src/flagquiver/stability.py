@@ -239,34 +239,24 @@ def _verdicts(rows, points):
     return verdicts
 
 
-def _interval_bounds(row, ends):
-    """Bounds of Q * sum_c row[c] / L_c(h) over a run or a rectangle of points.
-
-    ``ends`` holds the weights Q // L_c(h) at two points of the set, with
-    Q > 0 the product of D(h) at both, chosen so that every L_c lies
-    between its values there: the two ends of a run, along which every
-    L_c is affine, or the low and high corners of a rectangle on which
-    every L_c is nondecreasing in both coordinates.  Each term
-    row[c] / L_c is monotone in L_c, so it lies between its values at
-    the two points: the row's least (greatest) value is at least (at
-    most) the sum of its terms' least (greatest) ends.  A positive lower
-    or a negative upper bound certifies the sign of the row at every
-    point of the set.  At a single point both bounds are the row sum of
-    ``_verdicts`` times D(h), so the test is exact.  The kernel reads the
-    same bounds, doubled, from ``_doubled_bounds``.
-    """
-    near, far = ends
-    low, high = _doubled_bounds(row, (list(map(add, near, far)), list(map(sub, near, far))))
-    return low // 2, high // 2
-
-
 def _doubled_bounds(row, ends):
-    """Twice the bounds of ``_interval_bounds``, from ``_ends``.
+    """Twice the bounds of Q * sum_c row[c] / L_c(h) over a run or a rectangle.
 
-    ``ends`` holds the sums and the differences of the weights at the two
-    points.  With x and y a term's values there, min(x, y) and max(x, y)
-    are (x + y -+ |x - y|) / 2, so twice the bounds are the row's sum
-    over the weight sums less and plus the sum of its terms' spreads.
+    ``ends`` comes from ``_ends``: the sums and the differences of the
+    weights Q // L_c(h) at two points of the set, with Q > 0 the product
+    of D(h) at both, chosen so that every L_c lies between its values
+    there: the two ends of a run, along which every L_c is affine, or the
+    low and high corners of a rectangle on which every L_c is
+    nondecreasing in both coordinates.  Each term row[c] / L_c is
+    monotone in L_c, so it lies between its values at the two points:
+    the row's least (greatest) value is at least (at most) the sum of its
+    terms' least (greatest) ends.  With x and y a term's values there,
+    min(x, y) and max(x, y) are (x + y -+ |x - y|) / 2, so twice the
+    bounds are the row's sum over the weight sums less and plus the sum
+    of its terms' spreads.  A positive lower or a negative upper bound
+    certifies the sign of the row at every point of the set.  At a single
+    point both bounds are twice the row sum of ``_verdicts`` times D(h),
+    so the test is exact.
     """
     center = sum(map(mul, row, ends[0]))
     spread = sum(map(abs, map(mul, row, ends[1])))
@@ -309,7 +299,7 @@ def _runs(order, firsts, di, dj, lines, count):
     A part with at most ``_POINTS_PER_ROW`` points per active row is
     decided point by point by ``_verdicts``; this fixed rule is the only
     cut-over.  A larger part is UNSTABLE when a row's upper bound
-    (``_interval_bounds`` at its corners) is negative.  A row whose lower
+    (``_doubled_bounds`` at its corners) is negative.  A row whose lower
     bound is positive is dropped for the part's pieces, and a part with
     no row left is STABLE.  Any other part is halved across its longer
     side.  Every part tries the first row of ``order`` first.  Point by
@@ -395,21 +385,6 @@ def _line_runs(cone, start, step, count):
     firsts = [sum(map(mul, form, start)) for form in cone.forms]
     steps = [sum(map(mul, form, step)) for form in cone.forms]
     return _runs(list(cone.rows), firsts, steps, steps, 1, count)[0]
-
-
-def _line_verdicts(cone, start, step, count):
-    """Verdicts at the points start + i * step, for i in range(count).
-
-    Every point must be ample; nothing is validated here.  Along the line
-    each degree form L_c is affine, so the degrees are stepped as
-    arithmetic progressions and never recomputed from the point.
-    """
-    verdicts = []
-    done = 0
-    for stop, verdict in _line_runs(cone, start, step, count):
-        verdicts += [verdict] * (stop - done)
-        done = stop
-    return verdicts
 
 
 def _cuts(rank, n, m):

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from itertools import chain, compress, repeat
-from operator import add, and_, getitem, or_, sub
+from operator import add, and_, getitem, or_
 from typing import NamedTuple
 
 from .errors import NotMultiplicityFree
@@ -414,21 +414,20 @@ def dominant_sum_check(p):
     The simplicity argument needs this set to be exactly {0}: the only
     dominant summand of End of the graded tangent bundle is the trivial
     one.  Each sum is alpha_i - alpha_j for nilradical roots alpha_i and
-    alpha_j, so the set is read off the root system's table of the pairs
-    with alpha_i - alpha_j dominant (``RootSystemData._dominant_pairs``),
-    filtered by nilradical membership.
-    A nonzero dominant element of the root lattice lies above the highest
-    root (Stembridge, *The partial order of dominant weights*, 1998), so
-    that table is the diagonal and the set is {0}.
+    alpha_j (the nilradical is never empty, so 0 is one), and no nonzero
+    one is dominant, by the highest root theta.  A nonzero dominant
+    element of the root lattice lies above theta (Stembridge, *The partial
+    order of dominant weights*, 1998), but theta - alpha_i lies in Q+, so
+    alpha_i - alpha_j - theta has negative height and is not in Q+.
+
+    What is checked is that the last positive root has the largest
+    coefficient on every simple root, which makes it theta; raises
+    ``ArithmeticError`` if not.
     """
-    nil = set(p.nilradical_indices)
-    roots = [r.coords2 for r in p.system.positive_roots]
-    sums = {
-        tuple(map(sub, roots[i], roots[j]))
-        for i, j in p.system._dominant_pairs()
-        if i in nil and j in nil
-    }
-    return frozenset(map(p.system.weight, sums))
+    system = p.system
+    if any(column[-1] != max(column) for column in system._columns):
+        raise ArithmeticError("the last positive root is not the highest root")
+    return frozenset({system.weight((0,) * system.ambient_dim)})
 
 
 def verdict_for(multiplicity_free, components, dominant_sums, zero_weight):

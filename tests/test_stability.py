@@ -34,7 +34,7 @@ from flagquiver import (
     tangent_rep,
 )
 from flagquiver import stability
-from flagquiver.stability import ConeInequality, Surd, _line_verdicts
+from flagquiver.stability import ConeInequality, Surd, _line_runs
 from cone_oracle import cone_membership
 from conftest import all_parabolics
 from test_tangentrep import little_rep
@@ -465,8 +465,8 @@ def test_verdicts_are_homogeneous(case_line):
     # the scaled line's points are g times the line's: the same verdicts,
     # decided on larger degrees
     scaled = tuple(g * x for x in start), tuple(g * d for d in step)
-    assert _line_verdicts(degrees, *scaled, count) == (
-        _line_verdicts(degrees, start, step, count)
+    assert _expand(_line_runs(degrees, *scaled, count)) == (
+        _expand(_line_runs(degrees, start, step, count))
     )
 
 
@@ -614,16 +614,16 @@ def test_line_kernel_matches_degree_membership_at_every_point(case_lines):
         points = [tuple(a + i * d for a, d in zip(start, step)) for i in range(count)]
         verdicts = [degree_membership(cone, h) for h in points]
         assert verdicts == [_plain_verdict(cone, h) for h in points]
-        assert _line_verdicts(cone, start, step, count) == verdicts
+        assert _expand(_line_runs(cone, start, step, count)) == verdicts
 
 
 def test_certified_runs_keep_boundary_points():
     cone = _line_cone(("A", 3, (1, 2)))
     assert 400 >= 8 * len(cone.rows)
     # every point of the ray (k, 2k) is on the boundary
-    assert _line_verdicts(cone, (1, 2), (1, 2), 400) == [BOUNDARY] * 400
+    assert _expand(_line_runs(cone, (1, 2), (1, 2), 400)) == [BOUNDARY] * 400
     # (1 + i, 100 + i) crosses it at i = 98, from UNSTABLE to STABLE
-    verdicts = _line_verdicts(cone, (1, 100), (1, 1), 400)
+    verdicts = _expand(_line_runs(cone, (1, 100), (1, 1), 400))
     assert verdicts == [UNSTABLE] * 98 + [BOUNDARY] + [STABLE] * 301
     assert verdicts == [_plain_verdict(cone, (1 + i, 100 + i)) for i in range(400)]
 
@@ -642,26 +642,27 @@ def line_runs(draw):
 @given(line_runs())
 def test_interval_bounds_hold_at_every_point_of_the_run(run):
     # with ends Q // L_c at points i and j, Q = D(i) * D(j), each row's
-    # bounds enclose Q times its sum_c row[c] / L_c at every point between,
-    # so a positive lower or a negative upper bound certifies the sign
+    # doubled bounds enclose 2 * Q times its sum_c row[c] / L_c at every
+    # point between, so a positive lower or a negative upper bound
+    # certifies the sign
     case, start, step, i, j = run
     cone = _line_cone(case)
     points = [tuple(a + x * d for a, d in zip(start, step)) for x in range(i, j + 1)]
     degrees = [[sum(f * x for f, x in zip(form, h)) for form in cone.forms] for h in points]
     q = prod(degrees[0]) * prod(degrees[-1])
-    ends = [q // degree for degree in degrees[0]], [q // degree for degree in degrees[-1]]
+    ends = stability._ends(degrees[0], degrees[-1])
     sums = [_row_sums(cone, h) for h in points]
     for r, row in enumerate(cone.rows):
-        low, high = stability._interval_bounds(row, ends)
+        low, high = stability._doubled_bounds(row, ends)
         for h_degrees, h_sums in zip(degrees, sums):
             d = prod(h_degrees)
-            assert low * d <= q * h_sums[r] <= high * d
+            assert low * d <= 2 * q * h_sums[r] <= high * d
         if low > 0:
             assert all(h_sums[r] > 0 for h_sums in sums)
         if high < 0:
             assert all(h_sums[r] < 0 for h_sums in sums)
         if i == j:
-            assert low == high == prod(degrees[0]) * sums[0][r]
+            assert low == high == 2 * prod(degrees[0]) * sums[0][r]
 
 
 # slabs of k = 2, 3 and 4 parameters: the last two coordinates vary
@@ -732,11 +733,9 @@ def test_rectangle_bounds_hold_at_every_point_of_the_rectangle(rect):
     degrees = [[sum(f * x for f, x in zip(form, h)) for form in cone.forms] for h in points]
     q = prod(degrees[0]) * prod(degrees[-1])
     ends = stability._ends(degrees[0], degrees[-1])
-    raw = [q // d for d in degrees[0]], [q // d for d in degrees[-1]]
     sums = [_row_sums(cone, h) for h in points]
     for r, row in enumerate(cone.rows):
         low, high = stability._doubled_bounds(row, ends)
-        assert stability._interval_bounds(row, raw) == (low // 2, high // 2)
         for h_degrees, h_sums in zip(degrees, sums):
             d = prod(h_degrees)
             assert low * d <= 2 * q * h_sums[r] <= high * d

@@ -22,7 +22,7 @@ from flagquiver import (
     tangent_rep,
     verify_flatness,
 )
-from flagquiver.rootsys import is_dominant
+from flagquiver.rootsys import RootSystemData, is_dominant
 from flagquiver.tangentrep import (
     VERDICT_INCONCLUSIVE,
     VERDICT_SIMPLE,
@@ -399,6 +399,18 @@ def test_dominant_sums_match_weight_arithmetic():
     for rank in (6, 7, 8):
         p = borel(build_root_system("E", rank))
         assert dominant_sum_check(p) == weight_dominant_sums(p), p
+
+
+@pytest.mark.parametrize("series,rank", [("A", 3), ("D", 5), ("E", 8)])
+def test_dominant_sum_check_needs_the_highest_root_last(series, rank):
+    # a fresh system, not the cached one: its columns are reversed after
+    # the parabolic has read them, so the last root is a simple root
+    system = RootSystemData(series, rank)
+    p = build_parabolic(system, range(1, rank + 1))
+    assert dominant_sum_check(p) == weight_dominant_sums(p)
+    system._columns = tuple(column[::-1] for column in system._columns)
+    with pytest.raises(ArithmeticError):
+        dominant_sum_check(p)
 
 
 def test_verdict_rule():
