@@ -213,8 +213,8 @@ class RootSystemData:
         )
         if 2 * max(map(max, self._columns)) > field:
             raise ArithmeticError("a sum of two roots would carry between packed fields")
-        self._pairings = tuple(pairing for _, _, pairing in ordered)
-        if any(map(_guard_bits(rank).__and__, self._pairings)):
+        pairings = (pairing for _, _, pairing in ordered)
+        if any(map(_guard_bits(rank).__and__, pairings)):
             raise ArithmeticError("a simple-coroot pairing overflows its packed field")
         self._codes = codes
         self._heights = tuple(
