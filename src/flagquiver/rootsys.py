@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import compress, count
-from math import prod
 from operator import add
 from typing import NamedTuple
 
@@ -422,5 +421,8 @@ def _weyl_dimension(lam2, roots):
     over the product of ``ht g``, both integers.  ``lam2`` is a weight in
     doubled coordinates, where ``<lam, g>`` is ``lam2 . g / 4``.
     """
-    num = prod(h + _dot2(lam2, g) // 4 for g, h in roots)
-    return divmod(num, prod(h for _, h in roots))
+    num = den = 1
+    for g, h in roots:
+        num *= h + _dot2(lam2, g) // 4
+        den *= h
+    return divmod(num, den)
