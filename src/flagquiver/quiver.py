@@ -107,10 +107,11 @@ def _relations(q, sources):
     then ``beta`` gives the pair of its labels, and each arrow gives the
     pairs whose nonzero bracket it carries (``brackets`` of the root
     system's tables).  They are visited in pair order, and their sum and
-    Chevalley constant come from the pair table.
+    Chevalley constant come from the same lists, keyed by pair.
     """
     system = q.parabolic.system
     tables = system._root_tables()
+    sums = {(i, j): (s, n) for s, b in enumerate(tables.brackets) for i, j, n in b}
     nil, out = _arrows_by_label(q)
     # the arrows leaving each arrow's target, by label
     out_of = [out[a.dst] for a in q.arrows]
@@ -130,7 +131,7 @@ def _relations(q, sources):
             )
         for i, j in sorted(pairs):
             ka, kb = here.get(i), here.get(j)
-            s, n = tables.sums.get((i, j), (None, 0))
+            s, n = sums.get((i, j), (None, 0))
             path_a = None if ka is None else out_of[ka].get(j)
             path_b = None if kb is None else out_of[kb].get(i)
             yield RelationInstance(

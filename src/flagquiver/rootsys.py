@@ -137,15 +137,6 @@ class RootSystemData:
         self.roots = self.positive_roots + self.negative_roots
         for r, exp in list(self._expansions.items()):
             self._expansions[tuple(-c for c in r)] = tuple(-e for e in exp)
-        # Bimultiplicative sign function: -1 on the diagonal and on Dynkin
-        # edges (i, j) with i > j, +1 elsewhere, encoded as bitmasks.
-        self._eps_masks = []
-        for i in range(rank):
-            mask = 1 << i
-            for j in range(rank):
-                if i > j and self.cartan_matrix[i][j] == -1:
-                    mask |= 1 << j
-            self._eps_masks.append(mask)
         two_rho = map(sum, zip(*(r.coords2 for r in self.positive_roots)))
         self.rho = Weight(tuple(c // 2 for c in two_rho), self)
         self._tables = None
@@ -274,17 +265,17 @@ def _simple_coords(series, rank, ambient):
 class _RootTables(NamedTuple):
     """Integer tables over the positive roots, indexed in their order.
 
-    ``index`` maps doubled coordinates to the index.  ``sums`` maps each
-    pair ``(i, j)`` with ``i < j`` whose sum is a root to ``(s, n)``: the
-    index ``s`` of ``alpha_i + alpha_j`` and their Chevalley constant ``n``;
-    every other pair has no bracket.  ``brackets[s]`` lists the same pairs
-    by their sum, as ``(i, j, n)`` in pair order, and ``parts[s]`` is the
-    bitmask of the roots in them: bit ``i`` is set iff ``alpha_s - alpha_i``
-    is a positive root.
+    ``index`` maps doubled coordinates to the index.  ``twist[i]`` is the
+    Chevalley-sign mask of ``alpha_i`` (see ``_build_root_tables``).
+    ``brackets[s]`` lists the pairs ``(i, j)`` with ``i < j`` and
+    ``alpha_i + alpha_j = alpha_s``, as ``(i, j, n)`` in pair order, with
+    their Chevalley constant ``n``; every other pair has no bracket.
+    ``parts[s]`` is the bitmask of the roots in them: bit ``i`` is set iff
+    ``alpha_s - alpha_i`` is a positive root.
     """
 
     index: dict
-    sums: dict
+    twist: tuple
     brackets: tuple
     parts: tuple
 
@@ -295,27 +286,29 @@ def _build_root_tables(system):
     A pair whose heights add up to more than the highest root's has no
     root as its sum, so it is not tried.  Packed expansions add without a
     carry, so ``alpha_i + alpha_j`` is a root iff the sum of their codes is
-    a root's code.  The sign of ``chevalley_constant(alpha_i, alpha_j)`` is
-    the parity of ``odd(alpha_j) & T(alpha_i)``, where ``odd`` marks the odd
-    coefficients and ``T(alpha)`` is the XOR of ``_eps_masks[k]`` over the
-    odd coefficients ``k`` of ``alpha``: the bimultiplicative function, one
-    popcount per pair.  Both masks are spread to the low bit of each packed
-    field, so ``odd(alpha_j) & T(alpha_i)`` is ``codes[j] & T(alpha_i)``.
+    a root's code.  The sign of ``[e_alpha, e_beta]`` is ``eps(alpha, beta)``
+    for the bimultiplicative ``eps`` (Kac, *Infinite-Dimensional Lie
+    Algebras*, 7.8) with ``eps(alpha_k, alpha_j) = -1`` iff ``j = k``, or
+    ``j < k`` and the Cartan matrix joins them.  It is the parity of
+    ``odd(beta) & T(alpha)``, ``odd`` marking the odd coefficients and
+    ``T(alpha)`` the XOR of the rows ``k`` of ``eps`` over the odd
+    coefficients ``k`` of ``alpha``.  Spread to the low bit of each packed
+    field, ``odd(alpha_j) & T(alpha_i)`` is ``codes[j] & twist[i]``: one
+    popcount per pair.
     """
     roots = system.positive_roots
     codes = system._codes
     heights = system._heights
     code_index = {c: i for i, c in enumerate(codes)}
     spread = [
-        sum(1 << _EXP_BITS * j for j in range(system.rank) if mask >> j & 1)
-        for mask in system._eps_masks
+        sum(1 << _EXP_BITS * j for j, c in enumerate(row) if c == 2 or c == -1 and j < k)
+        for k, row in enumerate(system.cartan_matrix)
     ]
     twist = [0] * len(codes)
     for column, eps in zip(system._columns, spread):
         for i in compress(count(), map((1).__and__, column)):
             twist[i] ^= eps
     top = heights[-1]
-    sums = {}
     brackets = [[] for _ in roots]
     parts = [0] * len(roots)
     for i, (ci, ti, h) in enumerate(zip(codes, twist, heights)):
@@ -326,11 +319,10 @@ def _build_root_tables(system):
         # a sum has height at least 2, so its index is never 0
         for j, s in zip(compress(count(i + 1), found), filter(None, found)):
             n = -1 if (codes[j] & ti).bit_count() & 1 else 1
-            sums[i, j] = (s, n)
             brackets[s].append((i, j, n))
             parts[s] |= 1 << i | 1 << j
     index = {r.coords2: i for i, r in enumerate(roots)}
-    return _RootTables(index, sums, tuple(map(tuple, brackets)), tuple(parts))
+    return _RootTables(index, tuple(twist), tuple(map(tuple, brackets)), tuple(parts))
 
 
 _SYSTEM_CACHE = {}
@@ -371,29 +363,23 @@ def chevalley_constant(alpha, beta):
     Nonzero (and equal to +-1) exactly when alpha + beta is a root.  Signs
     come from a bimultiplicative function on the root lattice fixed by an
     orientation of the Dynkin diagram; in type A this reproduces the
-    matrix-unit brackets [e_ih, e_hk] = e_ik.
+    matrix-unit brackets [e_ih, e_hk] = e_ik.  The sign is read from the
+    pair tables; it depends only on each root mod 2, so a negative root
+    reads the row of its negative.
     """
     if alpha.system is not beta.system:
         raise MismatchedSystem("roots belong to different systems")
     system = alpha.system
-    ea = system._expansions.get(alpha.coords2)
-    eb = system._expansions.get(beta.coords2)
-    if ea is None or eb is None:
+    if not (alpha.is_root and beta.is_root):
         raise ValueError("chevalley_constant expects roots")
-    s = tuple(a + b for a, b in zip(alpha.coords2, beta.coords2))
-    if all(c == 0 for c in s):
+    s = tuple(map(add, alpha.coords2, beta.coords2))
+    if not any(s):
         raise OppositeRoots(f"{alpha} and {beta} are opposite roots")
     if s not in system._expansions:
         return 0
-    bmask = 0
-    for j, c in enumerate(eb):
-        if c & 1:
-            bmask |= 1 << j
-    parity = 0
-    for i, c in enumerate(ea):
-        if c & 1:
-            parity ^= (bmask & system._eps_masks[i]).bit_count() & 1
-    return -1 if parity else 1
+    index, twist = system._root_tables()[:2]
+    i, j = (index[w.coords2 if w.coords2 in index else (-w).coords2] for w in (alpha, beta))
+    return -1 if (system._codes[j] & twist[i]).bit_count() & 1 else 1
 
 
 def h0_dimension(lam):

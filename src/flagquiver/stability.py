@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb, gcd, isqrt, prod
-from operator import add, floordiv, mul, sub
+from operator import add, floordiv, index, mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -180,7 +180,13 @@ def stability_cone(p, budget=DEFAULT_BUDGET):
 
 
 def _ample(polarization):
-    h = tuple(int(x) for x in polarization)
+    h = []
+    for x in polarization:
+        try:
+            h.append(index(x))
+        except TypeError:
+            raise ValueError(f"polarization entry {x!r} is not an integer") from None
+    h = tuple(h)
     if any(x <= 0 for x in h):
         raise NotAmple(f"polarization {h} has a non-positive entry")
     return h
@@ -441,6 +447,8 @@ def sample_band(cone, grid, section, band):
     """
     if min(grid, section) < 0 or (grid > 0) == (section > 0):
         raise ValueError("give one of grid and section, >= 1, and the other 0")
+    if band < 0:
+        raise ValueError(f"band {band} is negative")
     forms = cone.forms
     k = len(forms[0])
     if grid and k > 1:
@@ -498,20 +506,12 @@ def degree_membership(cone, polarization):
     return verdict
 
 
-def _fraction(numerator, denominator):
-    """``Fraction(numerator, denominator)``, importing ``fractions`` on first use.
-
-    Only ``Surd`` makes fractions, and the import (which pulls in
-    ``decimal`` and ``numbers``) would cost every process that imports
-    this module a few milliseconds.
-    """
-    from fractions import Fraction
-
-    return Fraction(numerator, denominator)
-
-
 class Surd:
-    """Exact real number of the form (p + q*sqrt(r)) / s."""
+    """Exact real number of the form (p + q*sqrt(r)) / s.
+
+    Only ``as_fraction`` and ``approx`` import ``fractions`` (which pulls
+    in ``decimal`` and ``numbers``, a few milliseconds per process).
+    """
 
     __slots__ = ("p", "q", "r", "s")
 
@@ -543,17 +543,20 @@ class Surd:
         return self.q == 0
 
     def as_fraction(self):
+        from fractions import Fraction
         if not self.is_rational:
             raise ValueError("irrational surd")
-        return _fraction(self.p, self.s)
+        return Fraction(self.p, self.s)
 
     def approx(self, digits=30):
+        from fractions import Fraction
         scale = 10**digits
-        root = _fraction(isqrt(self.r * scale * scale), scale)
-        return _fraction(self.p, self.s) + _fraction(self.q, self.s) * root
+        root = Fraction(isqrt(self.r * scale * scale), scale)
+        return Fraction(self.p, self.s) + Fraction(self.q, self.s) * root
 
     def __float__(self):
-        return float(self.approx())
+        scale = 10**30  # float(self.approx()), as one correctly rounded division
+        return (self.p * scale + self.q * isqrt(self.r * scale * scale)) / (self.s * scale)
 
     def __eq__(self, other):
         if not isinstance(other, Surd):
@@ -564,23 +567,23 @@ class Surd:
         return hash((self.p, self.q, self.r, self.s))
 
     def _interval(self, scale):
-        """Rationals lo <= self <= hi with hi - lo = |q| / (s * scale)."""
+        """Integers lo <= self * s * scale <= hi with hi - lo = |q|."""
         root = isqrt(self.r * scale * scale)
-        ends = (self.p * scale + self.q * x for x in (root, root + 1))
-        return sorted(_fraction(e, self.s * scale) for e in ends)
+        return sorted(self.p * scale + self.q * x for x in (root, root + 1))
 
     def __lt__(self, other):
         # the normal form is unique, so unequal surds differ in value, and
-        # intervals around the two separate once they are narrow enough
+        # intervals around the two separate once they are narrow enough;
+        # ends over s * scale and other.s * scale compare cross-multiplied
         if self == other:
             return False
         bits = 32
         while True:
             lo, hi = self._interval(1 << bits)
             other_lo, other_hi = other._interval(1 << bits)
-            if hi <= other_lo:
+            if hi * other.s <= other_lo * self.s:
                 return True
-            if other_hi <= lo:
+            if other_hi * self.s <= lo * other.s:
                 return False
             bits *= 2
 
@@ -589,7 +592,7 @@ class Surd:
 
     def __repr__(self):
         if self.is_rational:
-            return f"Surd({_fraction(self.p, self.s)})"
+            return f"Surd({self.p})" if self.s == 1 else f"Surd({self.p}/{self.s})"
         return f"Surd(({self.p}+{self.q}*sqrt({self.r}))/{self.s})"
 
 

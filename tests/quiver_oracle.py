@@ -1,10 +1,10 @@
 """Weight-arithmetic routes for the tangent quiver: the independent oracle.
 
-The library reads arrows, relation pairs, arrow scalars and dominant sums
-from the root system's pair tables, and decides the connectivity of
-closed subsets inside their walk.  These are the direct searches and loops
-over ``Weight`` objects that the tables replaced; the tests compare the
-two exactly.
+The library reads arrows, relation pairs, Chevalley signs, arrow scalars
+and dominant sums from the root system's pair tables, and decides the
+connectivity of closed subsets inside their walk.  These are the direct
+searches and loops over ``Weight`` objects that the tables replaced; the
+tests compare the two exactly.
 """
 from flagquiver import (
     FULL,
@@ -15,9 +15,29 @@ from flagquiver import (
     NotLeviDominant,
     QuiverRep,
     RelationInstance,
-    chevalley_constant,
     coroot_pairing,
 )
+
+
+def structure_constant(alpha, beta):
+    """N in [e_alpha, e_beta] = N e_{alpha+beta}, coefficient by coefficient.
+
+    0 unless alpha + beta is a root.  Otherwise N = eps(alpha, beta) for
+    the bimultiplicative eps on the root lattice (Kac, 7.8) with
+    eps(alpha_i, alpha_j) = -1 when i = j, or when j < i and the Cartan
+    matrix joins them, and +1 otherwise: -1 to the number of pairs of odd
+    coefficients (i of alpha, j of beta) with such an (i, j).
+    """
+    system = alpha.system
+    if not (alpha + beta).is_root:
+        return 0
+    cartan = system.cartan_matrix
+    odd_b = [j for j, c in enumerate(system.expansion(beta)) if c % 2]
+    parity = 0
+    for i, c in enumerate(system.expansion(alpha)):
+        if c % 2:
+            parity += sum(i == j or j < i and cartan[i][j] == -1 for j in odd_b)
+    return -1 if parity % 2 else 1
 
 
 def is_levi_dominant(lam, p):
@@ -91,7 +111,7 @@ def arrows(p, vertex_weights, mode=FULL):
 def tangent_maps(q):
     """The scalar of each arrow of a tangent quiver: N(label, source)."""
     return {
-        k: ((chevalley_constant(a.label, q.vertices[a.src]),),)
+        k: ((structure_constant(a.label, q.vertices[a.src]),),)
         for k, a in enumerate(q.arrows)
     }
 
@@ -116,7 +136,7 @@ def relations(q, sources):
     for ia, alpha in enumerate(nil):
         for beta in nil[ia + 1:]:
             s = alpha + beta
-            n = chevalley_constant(alpha, beta) if s.is_root else 0
+            n = structure_constant(alpha, beta)
             for label in (alpha.coords2, beta.coords2) + ((s.coords2,) if n else ()):
                 by_label.setdefault(label, []).append(len(pairs))
             pairs.append((alpha, beta, s.coords2, n))

@@ -18,13 +18,12 @@ from flagquiver import (
     boundary_2d,
     build_parabolic,
     build_root_system,
-    chevalley_constant,
     cli,
     stability_cone,
 )
 
 from cone_oracle import cone_json, cone_membership
-from quiver_oracle import induced_quiver
+from quiver_oracle import induced_quiver, structure_constant
 
 
 def run_cli(capsys, argv):
@@ -545,7 +544,7 @@ def test_reduced_quiver_json_is_the_reduced_induced_quiver(capsys, series, rank)
             "src": a.src,
             "dst": a.dst,
             "label2": list(a.label.coords2),
-            "scalar": chevalley_constant(a.label, q.vertices[a.src]),
+            "scalar": structure_constant(a.label, q.vertices[a.src]),
         }
         for a in q.arrows
     ]

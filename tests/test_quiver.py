@@ -1,6 +1,6 @@
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagquiver import (
     FULL,
@@ -14,7 +14,6 @@ from flagquiver import (
     borel,
     build_parabolic,
     build_root_system,
-    chevalley_constant,
     relation_instances,
     tangent_rep,
     to_dot,
@@ -140,7 +139,7 @@ def test_relation_with_only_a_bracket_term():
     b = borel(a2)
     alpha, beta, theta = b.nilradical_weights
     q = induced_quiver(b, [-theta, theta - theta], FULL)
-    n = chevalley_constant(alpha, beta)
+    n = oracle.structure_constant(alpha, beta)
     assert relation_instances(q) == [
         RelationInstance(0, alpha, beta, n, None, None, 0)
     ]
@@ -187,7 +186,7 @@ def all_pairs_relations(q):
         for ia, alpha in enumerate(nil):
             for beta in nil[ia + 1:]:
                 s = alpha + beta
-                n = chevalley_constant(alpha, beta) if s.is_root else 0
+                n = oracle.structure_constant(alpha, beta)
                 ka, kb = arrow(src, alpha), arrow(src, beta)
                 bracket = arrow(src, s) if n else None
                 path_a, path_b = path(ka, beta), path(kb, alpha)
@@ -200,22 +199,27 @@ def all_pairs_relations(q):
 
 def test_relations_match_all_pairs_scan_on_induced_subquivers():
     # subquivers drop vertices, so a pair can have a term through beta alone
-    # (A3: the pair a3, a1 at -(a1+a2+a3) without -(a1+a2))
-    rng = random.Random(7)
-    for series, rank, samples in [("A", 3, None), ("A", 4, 60), ("D", 4, 40)]:
-        b = borel(build_root_system(series, rank))
-        weights = b.tangent_weights
-        if samples is None:
-            subsets = [
-                [w for i, w in enumerate(weights) if mask >> i & 1]
-                for mask in range(1, 1 << len(weights))
-            ]
-        else:
-            subsets = [rng.sample(weights, rng.randint(2, len(weights)))
-                       for _ in range(samples)]
-        for vertices in subsets:
-            q = induced_quiver(b, vertices, FULL)
-            assert relation_instances(q) == all_pairs_relations(q), vertices
+    # (A3: the pair a3, a1 at -(a1+a2+a3) without -(a1+a2)); every vertex
+    # set of A3, then drawn ones of A4 and D4
+    b = borel(build_root_system("A", 3))
+    weights = b.tangent_weights
+    for mask in range(1, 1 << len(weights)):
+        vertices = [w for i, w in enumerate(weights) if mask >> i & 1]
+        q = induced_quiver(b, vertices, FULL)
+        assert relation_instances(q) == all_pairs_relations(q), vertices
+    relations_match_on_drawn_subquivers()
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(data=st.data())
+def relations_match_on_drawn_subquivers(data):
+    b = borel(build_root_system(*data.draw(st.sampled_from([("A", 4), ("D", 4)]))))
+    weights = b.tangent_weights
+    vertices = data.draw(
+        st.lists(st.sampled_from(weights), min_size=2, max_size=len(weights), unique=True)
+    )
+    q = induced_quiver(b, vertices, FULL)
+    assert relation_instances(q) == all_pairs_relations(q)
 
 
 def test_flatness_zero_rep_and_tangent_reps():

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from math import isqrt, prod
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -211,6 +212,25 @@ def test_sigma_requires_ample():
     trep = tangent_rep(p)
     with pytest.raises(NotAmple):
         sigma_from_polarization(trep.levi_rep, p, (0, 1))
+
+
+def test_polarization_entries_must_be_integers():
+    # an entry was truncated once: (1.5, 2, 3) got the verdict of (1, 2, 3)
+    p = borel(build_root_system("A", 3))
+    degrees = degree_cone(p)
+    for entry in (1.5, "2"):
+        with pytest.raises(ValueError, match=f"entry {entry!r} is not an integer"):
+            degree_membership(degrees, (entry, 2, 3))
+    assert degree_membership(degrees, (np.int64(1), 2, 3)) == degree_membership(
+        degrees, (1, 2, 3)
+    )
+    p2 = build_parabolic(build_root_system("A", 2), [1, 2])
+    rep = tangent_rep(p2).levi_rep
+    with pytest.raises(ValueError):
+        sigma_from_polarization(rep, p2, (1, 2.0))
+    assert sigma_from_polarization(rep, p2, (np.int32(1), 1)) == sigma_from_polarization(
+        rep, p2, (1, 1)
+    )
 
 
 def test_king_verdicts_flag_sl3():
@@ -801,3 +821,12 @@ def test_sample_band_takes_one_sample_size():
     for grid, section in ((0, 0), (3, 3), (-1, 0), (0, -2), (-1, 4)):
         with pytest.raises(ValueError):
             stability.sample_band(cone, grid, section, 0)
+
+
+def test_sample_band_refuses_a_negative_band():
+    # band -1 once read the last lines of a grid slab, or band 0 of a section
+    cone = degree_cone(borel(build_root_system("A", 3)))
+    for grid, section in ((3, 0), (0, 9)):
+        assert stability.sample_band(cone, grid, section, 0)
+        with pytest.raises(ValueError, match="band -1"):
+            stability.sample_band(cone, grid, section, -1)
