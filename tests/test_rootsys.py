@@ -224,28 +224,19 @@ def test_positive_roots_match_their_closed_forms(series, rank):
     [("A", n) for n in range(1, 7)] + [("D", n) for n in range(4, 7)]
     + [("E", n) for n in (6, 7, 8)],
 )
-def test_chevalley_constant_matches_the_oracle_on_every_pair(series, rank):
+def test_chevalley_pairs_exhaustive(series, rank):
     # negative roots too: the library reads a negative root's sign from the
     # row of its negative, the oracle from its own coefficients
     system = build_root_system(series, rank)
     for a in system.roots:
         for b in system.roots:
-            if (a + b).is_zero:
-                with pytest.raises(OppositeRoots):
-                    chevalley_constant(a, b)
-            else:
-                assert chevalley_constant(a, b) == structure_constant(a, b)
-
-
-@pytest.mark.parametrize("series,rank", [("A", 3), ("D", 4)])
-def test_chevalley_pairs_exhaustive(series, rank):
-    system = build_root_system(series, rank)
-    for a in system.roots:
-        for b in system.roots:
             s = a + b
             if s.is_zero:
+                with pytest.raises(OppositeRoots):
+                    chevalley_constant(a, b)
                 continue
             n = chevalley_constant(a, b)
+            assert n == structure_constant(a, b)
             if s.is_root:
                 assert n in (1, -1)
                 assert chevalley_constant(b, a) == -n
