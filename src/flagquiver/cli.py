@@ -3,7 +3,6 @@
 Exit codes: 0 success, 2 invalid input or an unwritable --out file,
 3 simplicity regression, 4 enumeration budget exceeded.
 """
-from __future__ import annotations
 
 import argparse
 import errno
@@ -465,16 +464,18 @@ def cmd_king(args):
     h = tuple(int(tok) for tok in args.polarization.split(","))
     if len(h) != len(p.sigma):
         raise ValueError("polarization arity must match the number of marked roots")
-    trep = tangent_rep(p)
-    character = sigma_from_polarization(trep.levi_rep, p, h, args.budget)
-    verdict = is_sigma_semistable(trep.levi_rep, character)
+    rep = tangent_rep(p).levi_rep
+    character = sigma_from_polarization(rep, p, h)
+    # over the budget is refused after a non-ample h, before any enumeration
+    cone = degree_cone(p, args.budget)
+    verdict = is_sigma_semistable(rep, character)
     data = {
         "polarization": list(h),
         "sigma_character": list(character.values),
         "semistable": verdict.semistable,
         "stable": verdict.stable,
         "witness": list(verdict.witness) if verdict.witness is not None else None,
-        "cone_verdict": degree_membership(degree_cone(p, args.budget), h),
+        "cone_verdict": degree_membership(cone, h),
     }
     if args.output == "text":
         state = (

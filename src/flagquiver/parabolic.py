@@ -1,5 +1,4 @@
 """Parabolic subgroups: Levi/nilradical split and tangent-bundle weights."""
-from __future__ import annotations
 
 from itertools import compress
 from operator import not_

@@ -1,5 +1,4 @@
 """Small exact integer multivariate polynomials (dict-of-exponents)."""
-from __future__ import annotations
 
 
 class IntPoly:

@@ -1,5 +1,4 @@
 """Finite induced subquivers, their relations, and the flatness check."""
-from __future__ import annotations
 
 from operator import itemgetter
 from typing import NamedTuple
@@ -234,10 +233,10 @@ def _label_name(weight):
     return "+".join(parts) if parts else "0"
 
 
-def to_dot(quiver, name="quiver"):
+def to_dot(quiver):
     """Graphviz DOT serialization: nodes carry weight coordinates, edges
     their nilradical label."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph quiver {"]
     for i, w in enumerate(quiver.vertices):
         coords = ",".join(str(c) for c in w.coords2)
         lines.append(f'  v{i} [label="({coords})"];')

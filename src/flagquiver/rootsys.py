@@ -12,7 +12,6 @@ highest root of E8), so two expansions add without a carry between fields,
 and a pairing is at most 2, below each field's guard bit; the build checks
 both bounds.
 """
-from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import compress, count

@@ -10,9 +10,9 @@ representatives are grown by length with a breadth-first search.  The
 cycle-level Schubert calculus built on them is the independent oracle
 of the test suite.
 """
-from __future__ import annotations
 
-from math import factorial
+from math import factorial, prod
+from operator import mul
 from typing import NamedTuple
 
 from .errors import BudgetExceeded
@@ -168,25 +168,30 @@ def volume_polynomial(p, budget=DEFAULT_BUDGET):
     return _VOLUME_CACHE[key]
 
 
+def _volume_constant(p):
+    """(dim!, prod ht(alpha)), whose quotient is the constant of ``volume_polynomial``."""
+    heights = 1
+    for alpha in p.nilradical_weights:
+        heights *= p.system.height(alpha)
+    return factorial(p.dim), heights
+
+
 def _expand_volume(p):
-    system = p.system
     k = len(p.sigma)
     # an exponent tuple e is packed as sum_j e_j * base**j, so multiplying
     # a monomial by a_j adds base**j; no exponent exceeds dim < base
     base = p.dim + 1
     steps = [base**pos for pos in range(k)]
     terms = {0: 1}
-    heights = 1
-    for alpha, degree in zip(p.nilradical_weights, p.marked_degrees):
+    for degree in p.marked_degrees:
         form = [(step, m) for step, m in zip(steps, degree) if m]
-        heights *= system.height(alpha)
         nxt = {}
         for packed, coeff in terms.items():
             for step, mult in form:
                 target = packed + step
                 nxt[target] = nxt.get(target, 0) + coeff * mult
         terms = nxt
-    scale = factorial(p.dim)
+    scale, heights = _volume_constant(p)
     out = {}
     for packed, coeff in terms.items():
         value, rem = divmod(coeff * scale, heights)
@@ -198,6 +203,27 @@ def _expand_volume(p):
             exps.append(e)
         out[tuple(exps)] = value
     return IntPoly(k, out)
+
+
+def _top_intersections(p, comps, h):
+    """(H_i . H^(dim-1))_i at H = sum_j h_j H_j, from the factored volume.
+
+    ``comps`` are the Levi components of the tangent bundle: L_alpha of
+    ``volume_polynomial`` depends only on a root's marked degree, so the
+    volume is C * D with D = prod_c L_c(h)^rank(c), and H_i . H^(dim-1),
+    its derivative along a_i over dim, is C / dim times the integer
+    sum_c rank(c) deg(c)_i * D / L_c(h).  Nothing is expanded.
+    """
+    if len(h) != len(p.sigma):
+        raise ValueError("point has the wrong arity")
+    degrees = [sum(map(mul, c.degree, h)) for c in comps]
+    total = prod(d**c.rank for c, d in zip(comps, degrees))
+    weights = [c.rank * (total // d) for c, d in zip(comps, degrees)]
+    scale, heights = _volume_constant(p)
+    return [
+        _exact_div(scale * sum(map(mul, column, weights)), p.dim * heights)
+        for column in zip(*(c.degree for c in comps))
+    ]
 
 
 def intersection_number(p, exponents, budget=DEFAULT_BUDGET):
@@ -216,15 +242,12 @@ def intersection_number(p, exponents, budget=DEFAULT_BUDGET):
     return _exact_div(coeff, multinomial(p.dim, exponents))
 
 
-def intersection_polynomial(p, degree, budget=DEFAULT_BUDGET):
-    """For each marked index i, the polynomial H_i . (sum_j a_j H_j)^degree.
+def intersection_polynomial(p, budget=DEFAULT_BUDGET):
+    """For each marked index i, the polynomial H_i . (sum_j a_j H_j)^(dim - 1).
 
-    Exponent tuples follow the marked indices in increasing order; the
-    degree must be dim G/P - 1 so each entry is a top intersection.  The
+    Exponent tuples follow the marked indices in increasing order.  The
     polynomial for position i is (1/dim) dP/da_i of the volume polynomial.
     """
-    if degree != p.dim - 1:
-        raise ValueError("degree must be dim G/P - 1")
     volume = volume_polynomial(p, budget)
     k = len(p.sigma)
     polys = {}

@@ -5,7 +5,6 @@ polarization coefficients, pointwise verdicts are integer sums over the
 Levi components' degree forms, boundary slopes are quadratic surds, and
 the character-based verdicts use the same integer data.
 """
-from __future__ import annotations
 
 import itertools
 from math import comb, gcd, isqrt, prod
@@ -21,7 +20,7 @@ from .errors import (
 from .parabolic import levi_components
 from .polynomials import IntPoly
 from .rootsys import coroot_pairing
-from .schubert import DEFAULT_BUDGET, _check_budget, intersection_polynomial
+from .schubert import DEFAULT_BUDGET, _check_budget, _top_intersections, intersection_polynomial
 from .tangentrep import closed_subsets, tangent_rep
 
 STABLE = "STABLE"
@@ -141,7 +140,7 @@ def _cone_inequalities(p, budget):
     refused cone raises before the first inequality is asked for; each
     inequality is built as the result is iterated.
     """
-    qpolys = intersection_polynomial(p, p.dim - 1, budget)
+    qpolys = intersection_polynomial(p, budget)
     terms = [qpolys[pos].terms for pos in range(len(p.sigma))]
     exps = sorted(set().union(*terms))
     columns = [list(map(t.get, exps, itertools.repeat(0))) for t in terms]
@@ -507,11 +506,7 @@ def degree_membership(cone, polarization):
 
 
 class Surd:
-    """Exact real number of the form (p + q*sqrt(r)) / s.
-
-    Only ``as_fraction`` and ``approx`` import ``fractions`` (which pulls
-    in ``decimal`` and ``numbers``, a few milliseconds per process).
-    """
+    """Exact real number of the form (p + q*sqrt(r)) / s, in a unique normal form."""
 
     __slots__ = ("p", "q", "r", "s")
 
@@ -522,13 +517,22 @@ class Surd:
             raise ValueError("negative radicand")
         if s < 0:
             p, q, s = -p, -q, -s
-        # pull square factors out of the radicand
-        d = 2
-        while d * d <= r:
+        # pull square factors out of the radicand by trial division up to
+        # the cube root of what is left, which then has at most two prime
+        # factors (1, p, p*p or p*q), so one isqrt test finishes the job
+        free, d = 1, 2
+        while d * d * d <= r:
             while r % (d * d) == 0:
                 r //= d * d
                 q *= d
+            if r % d == 0:
+                r //= d
+                free *= d
             d += 1
+        root = isqrt(r)
+        if root * root == r:
+            r, q = 1, q * root
+        r *= free
         if r == 1:
             p, q, r = p + q, 0, 0
         if q == 0 or r == 0:
@@ -542,20 +546,8 @@ class Surd:
     def is_rational(self):
         return self.q == 0
 
-    def as_fraction(self):
-        from fractions import Fraction
-        if not self.is_rational:
-            raise ValueError("irrational surd")
-        return Fraction(self.p, self.s)
-
-    def approx(self, digits=30):
-        from fractions import Fraction
-        scale = 10**digits
-        root = Fraction(isqrt(self.r * scale * scale), scale)
-        return Fraction(self.p, self.s) + Fraction(self.q, self.s) * root
-
     def __float__(self):
-        scale = 10**30  # float(self.approx()), as one correctly rounded division
+        scale = 10**30  # sqrt(r) to 30 digits, then one correctly rounded division
         return (self.p * scale + self.q * isqrt(self.r * scale * scale)) / (self.s * scale)
 
     def __eq__(self, other):
@@ -663,35 +655,29 @@ def boundary_2d(inequalities):
     return Boundary2D(lower, upper)
 
 
-def _character_data(rep, p, budget):
-    """What ``sigma_from_polarization`` needs of ``p``, for any polarization.
-
-    The slope gap of each rep vertex's Levi component, and the
-    intersection polynomials (H_i . H^(dim-1))_i.
-    """
-    comps = levi_components(p)
+def _vertex_gaps(rep, p, comps):
+    """The slope gap of each rep vertex's Levi component."""
     by_top = {c.highest_weight: ci for ci, c in enumerate(comps)}
     order = [by_top.get(w) for w in rep.quiver.vertices]
     if None in order:
         raise ValueError("rep vertices do not match the Levi components")
-    qpolys = intersection_polynomial(p, p.dim - 1, budget)
     gaps = _slope_gaps(p, comps)
-    return [gaps[ci] for ci in order], [qpolys[pos] for pos in range(len(p.sigma))]
+    return [gaps[ci] for ci in order]
 
 
-def _character(rep, data, h):
-    vertex_gaps, qpolys = data
-    qvals = [q.evaluate(h) for q in qpolys]
+def _character(rep, vertex_gaps, qvals, h):
+    """The character of each vertex, given q_i = H_i . H^(dim-1) at H = h."""
     values = [-sum(map(mul, gap, qvals)) for gap in vertex_gaps]
     if sum(map(mul, values, rep.dims)) != 0:
         raise RuntimeError("character does not annihilate the dimension vector")
     return SigmaCharacter(tuple(values), h)
 
 
-def sigma_from_polarization(rep, p, polarization, budget=DEFAULT_BUDGET):
-    """Integer character induced by an ample class on the Levi-level rep."""
+def sigma_from_polarization(rep, p, polarization):
+    """Integer character induced by an ample class on the Levi-level rep (no expansion)."""
     h = _ample(polarization)
-    return _character(rep, _character_data(rep, p, budget), h)
+    comps = levi_components(p)
+    return _character(rep, _vertex_gaps(rep, p, comps), _top_intersections(p, comps, h), h)
 
 
 class KingVerdict(NamedTuple):
@@ -734,20 +720,22 @@ def equivalence_check(p, polarization_grid, budget=DEFAULT_BUDGET):
 
     For every grid point the King verdict must match the cone verdict:
     semistable iff not UNSTABLE, stable iff STABLE.  The two routes are
-    independent: the character comes from the intersection polynomials
-    and is checked over every closed subset, the cone verdict from the
-    degree forms over the reduced ones.  The report lists any
+    independent: the character comes from the expanded intersection
+    polynomials and is checked over every closed subset, the cone verdict
+    from the degree forms over the reduced ones.  The report lists any
     disagreement; agreement everywhere is the expected outcome.
     """
     cone = degree_cone(p, budget)
     rep = tangent_rep(p).levi_rep
-    data = _character_data(rep, p, budget)
+    gaps = _vertex_gaps(rep, p, levi_components(p))
+    qpolys = intersection_polynomial(p, budget)
     subsets = closed_subsets(rep, reduce=False)
     entries = []
     disagreements = []
     for h in polarization_grid:
         h = _ample(h)
-        king = _king(rep, subsets, _character(rep, data, h))
+        qvals = [qpolys[pos].evaluate(h) for pos in range(len(p.sigma))]
+        king = _king(rep, subsets, _character(rep, gaps, qvals, h))
         verdict = degree_membership(cone, h)
         entries.append((h, king.semistable, king.stable, verdict))
         if king.semistable != (verdict != UNSTABLE) or king.stable != (

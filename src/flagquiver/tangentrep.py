@@ -1,5 +1,4 @@
 """Tangent-bundle quiver representations and the simplicity certificate."""
-from __future__ import annotations
 
 from itertools import chain, compress, repeat
 from operator import add, and_, getitem, or_
@@ -272,21 +271,14 @@ def _topological_order(succ, pred):
     return order
 
 
-def _bit_mapper(targets):
-    """The map of masks sending bit ``i`` to bit ``targets[i]``, by bytes."""
-    tables = []
-    for base in range(0, len(targets), 8):
-        table = [0]
-        for t in targets[base:base + 8]:
-            table += [entry | 1 << t for entry in table]
-        tables.append(table)
-    width = len(tables)
-
-    def rekey(mask):
-        # the images of distinct bits are distinct, so the sum is their union
-        return sum(map(getitem, tables, mask.to_bytes(width, "little")))
-
-    return rekey
+def _remap(mask, targets):
+    """The mask with each set bit ``i`` moved to bit ``targets[i]``."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out |= 1 << targets[low.bit_length() - 1]
+    return out
 
 
 def _byte_tables(support):
@@ -332,8 +324,8 @@ def closed_subsets(rep, reduce=False):
     The walk runs over Kahn's topological order with the largest free
     vertex first.  Every arrow of a tangent rep points to a lower vertex,
     so there that order is the bit layout itself.  Any other acyclic rep is
-    walked in its own order, and its masks are then mapped to the layout a
-    byte at a time (``_bit_mapper``) before the same sort.
+    walked in its own order, and its masks are then mapped to the layout
+    bit by bit (``_remap``) before the same sort.
 
     The walk splits the candidates ``inside`` on their first vertex v in
     that order, which has no predecessor among them: closed subsets without
@@ -352,14 +344,12 @@ def closed_subsets(rep, reduce=False):
     succ, pred = _nonzero_successors(rep)
     order = _topological_order(succ, pred)
     n = len(order)
-    to_layout = None
-    if order != list(range(n)):
+    in_layout = order == list(range(n))
+    if not in_layout:
         position = [0] * n
         for i, b in enumerate(order):
             position[b] = i
-        to_walk = _bit_mapper(position)
-        succ = [to_walk(succ[b]) for b in order]
-        to_layout = _bit_mapper(order)
+        succ = [_remap(succ[b], position) for b in order]
     reach = [0] * n
     for i in reversed(range(n)):
         mask = 1 << i
@@ -392,8 +382,8 @@ def closed_subsets(rep, reduce=False):
             merged.append(joined)
         stack.append((inside ^ closure, chosen | closure, merged))
         stack.append((inside & (inside - 1), chosen, parts))
-    if to_layout is not None:
-        sets = list(map(to_layout, sets))
+    if not in_layout:
+        sets = [_remap(s, order) for s in sets]
     # popcount ascending, then mask descending, as one integer each
     for i, s in enumerate(sets):
         sets[i] = s.bit_count() << n | full ^ s

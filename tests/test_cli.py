@@ -363,13 +363,15 @@ def test_cone_boundary_matches_closed_form(capsys):
 
 def test_budget_exit_code(capsys):
     # |W/W_P| is checked by formula before anything is expanded, so these
-    # exit at once; expanding E7/B or E8/B would not finish
-    for command in ("cone", "intersections"):
+    # exit at once; expanding E7/B or E8/B would not finish, and king
+    # refuses before it enumerates the closed subsets
+    for command in ("cone", "intersections", "king"):
         for rank in (7, 8):
             start = time.perf_counter()
+            extra = ["--polarization", ",".join(["1"] * rank)] if command == "king" else []
             code, out, err = run_cli(
                 capsys,
-                [command, "--series", "E", "--rank", str(rank), "--parabolic", "borel"],
+                [command, "--series", "E", "--rank", str(rank), "--parabolic", "borel"] + extra,
             )
             assert code == 4
             assert out == ""
@@ -428,6 +430,22 @@ def test_king_stable_interior(capsys):
     )
     assert code == 0
     assert out.startswith("stable")
+
+
+def test_king_e7_borel_is_stable_at_the_anticanonical_ray(capsys):
+    # (1, ..., 1) is proportional to -K on a Borel, so both verdicts are
+    # STABLE; q(h) comes from the factored volume, so a budget that admits
+    # |W/W_P| = 2 903 040 costs no expansion
+    code, out, _ = run_cli(
+        capsys,
+        ["king", "--series", "E", "--rank", "7", "--parabolic", "borel",
+         "--polarization", "1,1,1,1,1,1,1", "--budget", "3000000"],
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert data["semistable"] is True and data["stable"] is True
+    assert data["witness"] is None
+    assert data["cone_verdict"] == "STABLE"
 
 
 def test_out_file(tmp_path, capsys):

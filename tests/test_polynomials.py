@@ -86,7 +86,7 @@ def test_normalized_matches_the_oracle(table):
 
 def _cone_by_accumulation(p):
     """``stability_cone`` summed term by term from c1 of each subbundle."""
-    qpolys = intersection_polynomial(p, p.dim - 1)
+    qpolys = intersection_polynomial(p)
     trep = tangent_rep(p)
     c1_tangent = c1_picard(p.tangent_weights, p)
     k = len(p.sigma)

@@ -4,9 +4,9 @@ Arrows, arrow scalars, relations, flatness verdicts, dominant sums and the
 reduced closed subsets must agree exactly, in order, with the direct loops
 of ``quiver_oracle``.
 """
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagquiver import (
     FULL,
@@ -33,16 +33,14 @@ ALL_PARABOLICS = (
 )
 
 
-def oracle_parabolics(series, rank):
-    """Every parabolic, or ten seeded ones for E7 and E8."""
+def oracle_parabolics(series, rank, data):
+    """Every parabolic, or five drawn ones for E7 and E8."""
     system = build_root_system(series, rank)
     if rank < 7:
         return list(all_parabolics(system))
-    rng = random.Random(rank)
-    return [
-        build_parabolic(system, rng.sample(range(1, rank + 1), rng.randint(1, rank)))
-        for _ in range(10)
-    ]
+    sigmas = st.frozensets(st.integers(1, rank), min_size=1)
+    return [build_parabolic(system, sigma)
+            for sigma in data.draw(st.lists(sigmas, min_size=5, max_size=5, unique=True))]
 
 
 def triples(q):
@@ -50,9 +48,10 @@ def triples(q):
 
 
 @pytest.mark.parametrize("series,rank", ALL_PARABOLICS + [("E", 7), ("E", 8)])
-def test_tangent_quiver_kernels_match_the_oracle(series, rank):
-    rng = random.Random(f"{series}{rank}")
-    for p in oracle_parabolics(series, rank):
+@settings(derandomize=True, max_examples=2, deadline=None, database=None)
+@given(data=st.data())
+def test_tangent_quiver_kernels_match_the_oracle(series, rank, data):
+    for p in oracle_parabolics(series, rank, data):
         trep = tangent_rep(p)
         rep, q = trep.rep, trep.rep.quiver
         b = q.parabolic
@@ -67,7 +66,7 @@ def test_tangent_quiver_kernels_match_the_oracle(series, rank):
         ), p
         assert verify_flatness(rep) == oracle.flatness(rep, rels) == (True, None), p
         if q.arrows:
-            flipped = oracle.with_flipped_map(rep, rng.randrange(len(q.arrows)))
+            flipped = oracle.with_flipped_map(rep, data.draw(st.integers(0, len(q.arrows) - 1)))
             assert verify_flatness(flipped) == oracle.flatness(flipped, rels), p
         assert dominant_sum_check(p) == oracle.dominant_sums(p), p
 
@@ -102,22 +101,27 @@ def test_borel_arrow_table_is_the_induced_borel_quiver(series, rank):
     assert table.maps == tuple(maps[k] for k in range(len(q.arrows)))
 
 
-def test_packed_arrow_search_on_large_non_root_weights():
+def _ball(b, start, top):
+    """Weights within two nilradical steps of ``start`` whose entries stay within ``top``."""
+    steps = list(b.nilradical_weights) + [-r for r in b.nilradical_weights]
+    ball = {start}
+    for _ in range(2):
+        ball |= {w + s for w in ball for s in steps}
+    return sorted((w for w in ball if max(map(abs, w.coords2)) <= top), key=lambda v: v.coords2)
+
+
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(data=st.data())
+def test_packed_arrow_search_on_large_non_root_weights(data):
     top = 10**6
-    rng = random.Random(5)
     for series, rank in (("D", 5), ("E", 6)):
         b = borel(build_root_system(series, rank))
         start = b.system.weight(
             (top, -top, top - 2, 2 - top) + (0,) * (b.system.ambient_dim - 4)
         )
-        vertices = {start}
-        while len(vertices) < 60:
-            w = rng.choice(sorted(vertices, key=lambda v: v.coords2))
-            step = rng.choice(b.nilradical_weights)
-            moved = w + step if rng.random() < 0.6 else w - step
-            if max(map(abs, moved.coords2)) <= top:
-                vertices.add(moved)
-        vertices = sorted(vertices, key=lambda v: v.coords2)
+        ball = _ball(b, start, top)
+        vertices = data.draw(st.lists(st.sampled_from(ball), min_size=60, max_size=60, unique=True))
+        vertices.sort(key=lambda v: v.coords2)
         for mode in (FULL, REDUCED):
             q = induced_quiver(b, vertices, mode)
             assert triples(q) == oracle.arrows(b, vertices, mode)

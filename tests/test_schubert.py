@@ -1,6 +1,6 @@
-import random
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagquiver import (
     BudgetExceeded,
@@ -70,7 +70,7 @@ def test_budget_checks_read_the_heights_once(monkeypatch):
 
     def intersections():
         p = borel(system)
-        for exps in intersection_polynomial(p, p.dim - 1)[0].terms:
+        for exps in intersection_polynomial(p)[0].terms:
             intersection_number(p, (exps[0] + 1,) + exps[1:])
         return coset_count(p)
 
@@ -170,15 +170,12 @@ def test_intersection_number_validation():
         intersection_number(p, (3,))  # wrong arity
 
 
-def test_multiplication_order_invariance():
+@settings(derandomize=True, max_examples=20, deadline=None, database=None)
+@given(st.permutations([1, 2, 2, 2, 2, 3]))  # FG^4H
+def test_multiplication_order_invariance(order):
     p = borel(build_root_system("A", 3))
-    rng = random.Random(7)
-    base = [1, 2, 2, 2, 2, 3]  # FG^4H
-    reference = multiply_by_divisors(p, base).coefficients
-    for _ in range(10):
-        order = base[:]
-        rng.shuffle(order)
-        assert multiply_by_divisors(p, order).coefficients == reference
+    reference = multiply_by_divisors(p, [1, 2, 2, 2, 2, 3]).coefficients
+    assert multiply_by_divisors(p, order).coefficients == reference
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -194,7 +191,7 @@ def test_point_hyperplane_table_and_reversal_symmetry(n):
 
 def test_intersection_polynomial_flag_sl3():
     p = build_parabolic(build_root_system("A", 2), [1, 2])
-    q = intersection_polynomial(p, 2)
+    q = intersection_polynomial(p)
     assert q[0] == IntPoly(2, {(0, 2): 1, (1, 1): 2})
     assert q[1] == IntPoly(2, {(2, 0): 1, (1, 1): 2})
     assert q[0].evaluate((1, 1)) == q[1].evaluate((1, 1)) == 3
@@ -202,14 +199,18 @@ def test_intersection_polynomial_flag_sl3():
 
 def test_intersection_polynomial_p2():
     p = build_parabolic(build_root_system("A", 2), [1])
-    q = intersection_polynomial(p, 1)
+    q = intersection_polynomial(p)
     assert q[0] == IntPoly(1, {(1,): 1})
 
 
 def test_intersection_polynomial_validation():
-    p = build_parabolic(build_root_system("A", 2), [1, 2])
-    with pytest.raises(ValueError):
-        intersection_polynomial(p, 3)
+    # the second argument is the budget: |W/W_P| > dim always, so a call
+    # that still passes the old degree dim - 1 there is refused
+    for series, rank, sigma in [("A", 1, (1,)), ("A", 2, (1, 2)), ("D", 4, (2,))]:
+        p = build_parabolic(build_root_system(series, rank), sigma)
+        with pytest.raises(BudgetExceeded):
+            intersection_polynomial(p, p.dim - 1)
+        assert intersection_polynomial(p, coset_count(p)) == intersection_polynomial(p)
 
 
 @pytest.mark.parametrize("sigma", [(1, 2), (1,)])
@@ -217,7 +218,7 @@ def test_euler_degree_identity(sigma):
     # sum_i a_i q_i(a) must expand to (sum a_i H_i)^dim
     p = build_parabolic(build_root_system("A", 2), sigma)
     k = len(sigma)
-    q = intersection_polynomial(p, p.dim - 1)
+    q = intersection_polynomial(p)
     lhs = {}
     for pos in range(k):
         for exps, coeff in q[pos].terms.items():
@@ -241,7 +242,7 @@ def test_euler_degree_identity(sigma):
 
 def test_euler_degree_identity_sl4():
     p = borel(build_root_system("A", 3))
-    q = intersection_polynomial(p, 5)
+    q = intersection_polynomial(p)
     lhs = {}
     for pos in range(3):
         for exps, coeff in q[pos].terms.items():
