@@ -204,6 +204,7 @@ def _case_points(cases, high, arity=lambda case: len(case[2])):
 @example((("A", 2, (1, 2)), (1, 1)))
 @example((("A", 2, (1, 2)), (1, 10)))
 @example((("A", 2, (1, 2)), (3, 2)))
+@example((("A", 3, (1, 3)), (1, 1)))
 @example((("A", 3, (1, 3)), (2, 5)))
 @example((("A", 3, (1, 3)), (7, 1)))
 def test_sigma_character_identity_with_cone_polynomials(case_h):
