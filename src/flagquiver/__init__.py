@@ -73,7 +73,7 @@ from .stability import (
     degree_membership,
     equivalence_check,
     is_sigma_semistable,
-    sample_band,
+    sample_lines,
     sigma_from_polarization,
     stability_cone,
 )

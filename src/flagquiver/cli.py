@@ -24,7 +24,7 @@ from .stability import (
     degree_cone,
     degree_membership,
     is_sigma_semistable,
-    sample_band,
+    sample_lines,
     sigma_from_polarization,
     stability_cone,
 )
@@ -40,6 +40,8 @@ ALL_PARABOLICS_MAX = 255
 # Bounds the work of rank-driven commands (roots, Borel quivers); a rank in
 # the millions would not even fit its root system in memory.
 MAX_RANK = 24
+# The one line of a k = 1 grid is written at most this many points a chunk.
+_PIECE_POINTS = 1 << 14
 
 
 def _weight_json(w):
@@ -371,41 +373,51 @@ def _cone_chunks(cone, boundary):
 
 
 def _sample_csv(cone, k, grid, section):
-    """The CSV lines of a sample after its header, one lattice line a chunk.
+    """The CSV lines of a sample after its header, in chunks.
 
-    ``sample_band`` gives each line's leading coordinates, written once
-    as the line's head, and its verdicts as runs of equal verdicts.  A
-    grid point's text after the head is ``"{j},{verdict}\n"``, rendered
-    once per sample for each j and each verdict that occurs, so a grid
-    line is its head joined to one slice of those texts per run.  A
-    section point's text is ``"{j},{rest - j},{verdict}\n"``, with rest
-    the sum of the last two parts, and the one point of a k = 1 section
-    is ``"{section},{verdict}\n"``.
+    ``sample_lines`` gives each line's leading coordinates, written once
+    as the line's head, and its verdicts as runs of equal verdicts; each
+    line is one chunk.  A grid point's text after the head is
+    ``"{j},{verdict}\n"``.  When k >= 2 every line reuses these texts, so
+    they are rendered once per sample for each j and each verdict that
+    occurs, and a grid line is its head joined to one slice of those
+    texts per run.  The one line of a k = 1 grid has nothing to reuse:
+    its runs are written straight from ``range``, at most
+    ``_PIECE_POINTS`` points a chunk.  A section point's text is
+    ``"{j},{rest - j},{verdict}\n"``, with rest the sum of the last two
+    parts, and the one point of a k = 1 section is
+    ``"{section},{verdict}\n"``.
     """
+    lines = sample_lines(cone, grid, section)
+    if grid and k == 1:
+        ((_, runs),) = lines
+        start = 1
+        for stop, verdict in runs:
+            tail = f",{verdict}\n"
+            for a in range(start, stop + 1, _PIECE_POINTS):
+                yield tail.join(map(str, range(a, min(a + _PIECE_POINTS, stop + 1)))) + tail
+            start = stop + 1
+        return
     tails = {}
-    for band in itertools.count():
-        lines = sample_band(cone, grid, section, band)
-        if not lines:
-            return
-        for prefix, runs in lines:
-            head = "".join(f"{x}," for x in prefix)
-            parts = []
-            start = 0
-            if grid:
-                for stop, verdict in runs:
-                    tail = tails.get(verdict)
-                    if tail is None:
-                        tail = tails[verdict] = [f"{j},{verdict}\n" for j in range(1, grid + 1)]
-                    parts += tail[start:stop]
-                    start = stop
-            elif k == 1:
-                parts = [f"{section},{verdict}\n" for _, verdict in runs]
-            else:
-                rest = section - sum(prefix)
-                for stop, verdict in runs:
-                    parts += [f"{j},{rest - j},{verdict}\n" for j in range(start + 1, stop + 1)]
-                    start = stop
-            yield head + head.join(parts)
+    for prefix, runs in lines:
+        head = "".join(f"{x}," for x in prefix)
+        parts = []
+        start = 0
+        if grid:
+            for stop, verdict in runs:
+                tail = tails.get(verdict)
+                if tail is None:
+                    tail = tails[verdict] = [f"{j},{verdict}\n" for j in range(1, grid + 1)]
+                parts += tail[start:stop]
+                start = stop
+        elif k == 1:
+            parts = [f"{section},{verdict}\n" for _, verdict in runs]
+        else:
+            rest = section - sum(prefix)
+            for stop, verdict in runs:
+                parts += [f"{j},{rest - j},{verdict}\n" for j in range(start + 1, stop + 1)]
+                start = stop
+        yield head + head.join(parts)
 
 
 def cmd_cone(args):

@@ -7,7 +7,7 @@ the character-based verdicts use the same integer data.
 """
 
 import itertools
-from math import comb, gcd, isqrt, prod
+from math import gcd, isqrt, prod
 from operator import add, floordiv, index, mul, sub
 from typing import NamedTuple
 
@@ -283,8 +283,9 @@ def _ends(low, high):
 # A part of a rectangle with at most this many points per row left to
 # decide is decided point by point, a larger one as a whole (see _runs).
 _POINTS_PER_ROW = 4
-# The most lattice lines in one band of a sample (see sample_band).
-_BAND_LINES = 1024
+# The most lattice lines of a grid slab decided as one rectangle (see
+# sample_lines): a sample holds the runs of one rectangle at a time.
+_RECTANGLE_LINES = 1024
 
 
 def _runs(order, firsts, di, dj, lines, count):
@@ -392,31 +393,8 @@ def _line_runs(cone, start, step, count):
     return _runs(list(cone.rows), firsts, steps, steps, 1, count)[0]
 
 
-def _cuts(rank, n, m):
-    """Entry ``rank`` of ``itertools.combinations(range(1, n + 1), m)``."""
-    cuts = []
-    x = 1
-    for left in range(m - 1, -1, -1):
-        while rank >= (skipped := comb(n - x, left)):
-            rank -= skipped
-            x += 1
-        cuts.append(x)
-        x += 1
-    return tuple(cuts)
-
-
-def _next_cuts(cuts, n):
-    """The entry after ``cuts`` in that order, or None after the last."""
-    m = len(cuts)
-    for pos in range(m - 1, -1, -1):
-        if cuts[pos] < n - (m - 1 - pos):
-            x = cuts[pos] + 1
-            return cuts[:pos] + tuple(range(x, x + m - pos))
-    return None
-
-
-def sample_band(cone, grid, section, band):
-    """The verdicts of one band of lattice lines of a sample of the cone.
+def sample_lines(cone, grid, section):
+    """The verdicts of a sample of the cone, one lattice line at a time.
 
     Give one of ``grid`` and ``section`` (the other 0).  A grid sample
     lists {1..grid}^k in lexicographic order, so its lines are the runs
@@ -428,67 +406,58 @@ def sample_band(cone, grid, section, band):
     parts c_{j+1} - c_j >= 1, so its lines are the runs of the last cut,
     a step of (+1, -1) on the last two parts.
 
-    Band number ``band`` (from 0) holds at most ``_BAND_LINES``
-    consecutive lines, all of one slab for a grid, so the output can be
-    written band by band in bounded memory.  A grid band is decided as
-    one rectangle, over the last two coordinates, by ``_runs``: every
-    degree form has non-negative coefficients, so each L_c grows with
-    both.  A section's step is not monotone, so its lines are decided one
-    at a time, each starting from the row that last proved a point
-    UNSTABLE.
+    A grid slab is decided in rectangles of at most ``_RECTANGLE_LINES``
+    lines, each as one rectangle over the last two coordinates by
+    ``_runs``: every degree form has non-negative coefficients, so each
+    L_c grows with both.  A section's step is not monotone, so its lines
+    are decided one at a time, each starting from the row that last
+    proved a point UNSTABLE.
 
-    Returns one ``(prefix, runs)`` per line of the band, in order, and an
-    empty list past the last band.  ``prefix`` holds the line's leading
-    coordinates (all but the last for a grid, all but the last two for a
-    section) and ``runs`` its verdicts as in ``_runs``.  When k = 1 a
-    sample is a single line with prefix (): {1..grid}, or the one point
-    (section,).
+    Returns an iterator of one ``(prefix, runs)`` per line, in sample
+    order, which decides the lines as it is read, so it holds the runs of
+    one rectangle or one section line at a time.  ``prefix`` holds the line's leading coordinates
+    (all but the last for a grid, all but the last two for a section)
+    and ``runs`` its verdicts as in ``_runs``.  When k = 1 a sample is a
+    single line with prefix (): {1..grid}, or the one point (section,).
+    A bad pair of sizes is refused at the call.
     """
     if min(grid, section) < 0 or (grid > 0) == (section > 0):
         raise ValueError("give one of grid and section, >= 1, and the other 0")
-    if band < 0:
-        raise ValueError(f"band {band} is negative")
+    return _sample_lines(cone, grid, section)
+
+
+def _sample_lines(cone, grid, section):
     forms = cone.forms
     k = len(forms[0])
-    if grid and k > 1:
-        slab, chunk = divmod(band, -(-grid // _BAND_LINES))
-        if slab >= grid ** (k - 2):
-            return []
-        prefix = ()
-        for _ in range(k - 2):
-            slab, x = divmod(slab, grid)
-            prefix = (x + 1,) + prefix
-        first = chunk * _BAND_LINES + 1
-        lines = min(_BAND_LINES, grid + 1 - first)
-        firsts = [sum(map(mul, form, prefix + (first, 1))) for form in forms]
+    if k == 1:
+        start, step, count = ((1,), (1,), grid) if grid else ((section,), (0,), 1)
+        yield (), _line_runs(cone, start, step, count)
+    elif grid:
         di = [form[-2] for form in forms]
         dj = [form[-1] for form in forms]
-        runs = _runs(list(cone.rows), firsts, di, dj, lines, grid)
-        return [(prefix + (first + i,), line) for i, line in enumerate(runs)]
-    if k == 1:
-        if band:
-            return []
-        start, step, count = ((1,), (1,), grid) if grid else ((section,), (0,), 1)
-        return [((), _line_runs(cone, start, step, count))]
-    total = comb(section - 2, k - 2) if section > 1 else 0
-    first = band * _BAND_LINES
-    cuts = _cuts(first, section - 2, k - 2) if first < total else None
-    steps = [form[-2] - form[-1] for form in forms]
-    # the next value of the last cut moves one from the last part to the
-    # part before the line's two
-    shift = [form[-3] - form[-1] for form in forms] if k > 2 else None
-    order = list(cone.rows)
-    firsts = None
-    out = []
-    while cuts is not None and len(out) < _BAND_LINES:
-        prefix = tuple(b - a for a, b in zip((0,) + cuts, cuts))
-        rest = section - (cuts[-1] if cuts else 0)
-        if firsts is None:
-            firsts = [sum(map(mul, form, prefix + (1, rest - 1))) for form in forms]
-        out.append((prefix, _runs(order, firsts, steps, steps, 1, rest - 1)[0]))
-        cuts, previous = _next_cuts(cuts, section - 2), cuts
-        firsts = list(map(add, firsts, shift)) if cuts and cuts[:-1] == previous[:-1] else None
-    return out
+        for prefix in itertools.product(range(1, grid + 1), repeat=k - 2):
+            for first in range(1, grid + 1, _RECTANGLE_LINES):
+                lines = min(_RECTANGLE_LINES, grid + 1 - first)
+                firsts = [sum(map(mul, form, prefix + (first, 1))) for form in forms]
+                runs = _runs(list(cone.rows), firsts, di, dj, lines, grid)
+                for x, line in enumerate(runs, first):
+                    yield prefix + (x,), line
+    elif section > 1:
+        steps = [form[-2] - form[-1] for form in forms]
+        # the next value of the last cut moves one from the last part to the
+        # part before the line's two
+        shift = [form[-3] - form[-1] for form in forms] if k > 2 else None
+        order = list(cone.rows)
+        head = None
+        for cuts in itertools.combinations(range(1, section - 1), k - 2):
+            prefix = tuple(map(sub, cuts, (0,) + cuts))
+            rest = section - (cuts[-1] if cuts else 0)
+            if cuts[:-1] == head:
+                firsts = list(map(add, firsts, shift))
+            else:
+                head = cuts[:-1]
+                firsts = [sum(map(mul, form, prefix + (1, rest - 1))) for form in forms]
+            yield prefix, _runs(order, firsts, steps, steps, 1, rest - 1)[0]
 
 
 def degree_membership(cone, polarization):
@@ -697,16 +666,24 @@ def is_sigma_semistable(rep, sigma):
 
 
 def _king(rep, subsets, sigma):
+    """The King verdict over ``subsets``, in one pass.
+
+    The witness is the first subset of positive slope, or else the first
+    of slope zero.  Every vertex of a closed subset has dimension 1, so a
+    subset's slope is the sum of its vertices' values.
+    """
     values = sigma.values
-    total = sum(v * d for v, d in zip(values, rep.dims))
-    if total != 0:
+    if sum(map(mul, values, rep.dims)) != 0:
         return KingVerdict(False, False, None)
+    zero = None
     for s in subsets:
-        if sum(values[v] * rep.dims[v] for v in s) > 0:
+        slope = sum(map(values.__getitem__, s))
+        if slope > 0:
             return KingVerdict(False, False, s)
-    for s in subsets:
-        if sum(values[v] * rep.dims[v] for v in s) == 0:
-            return KingVerdict(True, False, s)
+        if slope == 0 and zero is None:
+            zero = s
+    if zero is not None:
+        return KingVerdict(True, False, zero)
     return KingVerdict(True, True, None)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -6,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,7 @@ from flagquiver import (
     build_parabolic,
     build_root_system,
     cli,
+    degree_cone,
     stability_cone,
 )
 
@@ -633,6 +636,23 @@ def test_sample_is_written_line_by_line_in_bounded_memory():
     assert int(peak_kb) < 48 * 1024
 
 
+def test_one_line_grid_is_written_in_bounded_memory():
+    # A1/B --grid 200000 is a single line of 200 000 points: rendering every
+    # point's text and joining the line whole peaked at 20 MB
+    cone = degree_cone(borel(build_root_system("A", 1)))
+    digest = hashlib.sha256()
+    tracemalloc.start()
+    try:
+        for chunk in cli._sample_csv(cone, 1, 200000, 0):
+            digest.update(chunk.encode())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = "".join(f"{j},STABLE\n" for j in range(1, 200001)).encode()
+    assert digest.hexdigest() == hashlib.sha256(expected).hexdigest()
+    assert peak < 4 << 20
+
+
 @pytest.mark.parametrize("extra", [[], ["--grid", "2"], ["--grid", "3"]])
 def test_over_budget_cone_leaves_stdout_and_out_file_untouched(capsys, tmp_path, extra):
     # |W/W_P| = 24 for A3/B: the cone is refused by its budget check, and
@@ -648,27 +668,25 @@ def test_over_budget_cone_leaves_stdout_and_out_file_untouched(capsys, tmp_path,
 
 def test_interrupted_sample_leaves_the_old_out_file(capsys, tmp_path, monkeypatch):
     # the grid's verdicts are computed while it is written; an interrupt
-    # after the first band must not leave a truncated file
+    # after the first line must not leave a truncated file
     target = tmp_path / "cone.csv"
     target.write_text("old\n")
     os.chmod(target, 0o640)
     argv = ["cone", "--series", "A", "--rank", "3", "--parabolic", "borel",
             "--grid", "3", "--out", str(target)]
-    sample_band = cli.sample_band
+    sample_lines = cli.sample_lines
 
     def interrupted(*args):
-        monkeypatch.setattr(cli, "sample_band", interrupt)
-        return sample_band(*args)
-
-    def interrupt(*args):
+        lines = sample_lines(*args)
+        yield next(lines)
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "sample_band", interrupted)
+    monkeypatch.setattr(cli, "sample_lines", interrupted)
     with pytest.raises(KeyboardInterrupt):
         cli.main(argv)
     assert target.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["cone.csv"]
-    monkeypatch.setattr(cli, "sample_band", sample_band)
+    monkeypatch.setattr(cli, "sample_lines", sample_lines)
     assert run_cli(capsys, argv) == (0, "", "")
     expected = run_cli(capsys, argv[:-2])[1]
     assert target.read_text() == expected

@@ -1,6 +1,7 @@
 import functools
 import itertools
 from math import isqrt, prod
+from operator import mul
 
 import numpy as np
 import pytest
@@ -11,18 +12,21 @@ from flagquiver import (
     BOUNDARY,
     BudgetExceeded,
     IntPoly,
+    KingVerdict,
     NotAmple,
     NotLeviTrivialDeterminant,
     NotMultiplicityFree,
     NotQuadratic,
     NotTwoParameter,
     STABLE,
+    SigmaCharacter,
     UNSTABLE,
     boundary_2d,
     borel,
     build_parabolic,
     build_root_system,
     c1_picard,
+    closed_subsets,
     degree_cone,
     degree_membership,
     equivalence_check,
@@ -318,6 +322,56 @@ def test_king_requires_multiplicity_free():
     rep = little_rep(1, [], dims=(2,))
     with pytest.raises(NotMultiplicityFree):
         is_sigma_semistable(rep, SigmaCharacter((0,), (1,)))
+
+
+def _two_pass_king(rep, subsets, sigma):
+    """The King rule in two passes over the subsets, as the oracle.
+
+    The witness is the first subset of positive slope, or else the first
+    subset of slope zero, each slope weighted by the dimension vector.
+    """
+    values = sigma.values
+    if sum(v * d for v, d in zip(values, rep.dims)) != 0:
+        return KingVerdict(False, False, None)
+    for s in subsets:
+        if sum(values[v] * rep.dims[v] for v in s) > 0:
+            return KingVerdict(False, False, s)
+    for s in subsets:
+        if sum(values[v] * rep.dims[v] for v in s) == 0:
+            return KingVerdict(True, False, s)
+    return KingVerdict(True, True, None)
+
+
+@functools.lru_cache(maxsize=None)
+def _king_rep(case):
+    series, rank, sigma = case
+    p = build_parabolic(build_root_system(series, rank), sigma)
+    rep = tangent_rep(p).levi_rep
+    return p, rep, closed_subsets(rep, reduce=False)
+
+
+KING_CASES = [(series, rank, p.sigma)
+              for series, rank in [("A", 2), ("A", 3), ("A", 4), ("D", 4)]
+              for p in all_parabolics(build_root_system(series, rank))] + [
+    ("A", 5, (1, 2, 3, 4, 5)), ("D", 5, (1, 2, 3, 4, 5))]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data())
+def test_one_pass_king_matches_the_two_pass_rule(data):
+    # characters from drawn polarizations, and small drawn characters whose
+    # total is zero, so that slope-zero witnesses come up often
+    p, rep, subsets = _king_rep(data.draw(st.sampled_from(KING_CASES)))
+    n = len(rep.dims)
+    if data.draw(st.booleans()):
+        h = data.draw(st.tuples(*[st.integers(1, 30)] * len(p.sigma)))
+        sigma = sigma_from_polarization(rep, p, h)
+    else:
+        values = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            values[-1] -= sum(map(mul, values, rep.dims))
+        sigma = SigmaCharacter(tuple(values), ())
+    assert stability._king(rep, subsets, sigma) == _two_pass_king(rep, subsets, sigma)
 
 
 def test_equivalence_check_degenerate_grid():
@@ -822,16 +876,8 @@ def test_rectangle_bounds_hold_at_every_point_of_the_rectangle(rect):
             assert low == high == 2 * prod(degrees[0]) * sums[0][r]
 
 
-def test_cuts_are_the_combinations_in_order():
-    for n in range(7):
-        for m in range(n + 1):
-            combos = list(itertools.combinations(range(1, n + 1), m))
-            assert [stability._cuts(rank, n, m) for rank in range(len(combos))] == combos
-            assert [stability._next_cuts(c, n) for c in combos] == combos[1:] + [None]
-
-
-def _band_points(k, prefix, grid, section, count):
-    """The points of one line of a band, as ``sample_band`` lays them out."""
+def _line_points(k, prefix, grid, section, count):
+    """The points of one line of a sample, as ``sample_lines`` lays them out."""
     if grid:
         return [prefix + (j,) for j in range(1, count + 1)]
     if k == 1:
@@ -840,15 +886,30 @@ def _band_points(k, prefix, grid, section, count):
     return [prefix + (j, rest - j) for j in range(1, count + 1)]
 
 
+def _counting_runs(monkeypatch):
+    """Count the calls of the rectangle kernel; returns the list of counts."""
+    calls = [0]
+    runs = stability._runs
+
+    def counted(*args):
+        calls[0] += 1
+        return runs(*args)
+
+    monkeypatch.setattr(stability, "_runs", counted)
+    return calls
+
+
 @pytest.mark.parametrize("band_lines", [1, 2, 5])
 def test_bands_of_any_size_list_the_sample_in_order(monkeypatch, band_lines):
-    # small bands start a grid band inside a slab and a section band at an
-    # unranked cut; every point against the plain verdict, in sample order
+    # a grid slab is decided in bands of at most _RECTANGLE_LINES lines, one
+    # rectangle each; small ones split every slab, and every point of the
+    # stream is checked against the plain verdict, in sample order
     samples = [(("A", 2, (1,)), 7, 0), (("A", 2, (1,)), 0, 5),
                (("A", 3, (1, 2)), 9, 0), (("A", 3, (1, 2)), 0, 11),
                (("A", 3, (1, 2, 3)), 5, 0), (("A", 3, (1, 2, 3)), 0, 9),
                (("A", 4, (1, 2, 3, 4)), 3, 0), (("A", 4, (1, 2, 3, 4)), 0, 9),
                (("A", 5, (1, 2, 3, 4, 5)), 0, 8), (("A", 3, (1, 2, 3)), 0, 2)]
+    monkeypatch.setattr(stability, "_RECTANGLE_LINES", band_lines)
     for case, grid, section in samples:
         cone = _line_cone(case)
         k = len(case[2])
@@ -857,31 +918,38 @@ def test_bands_of_any_size_list_the_sample_in_order(monkeypatch, band_lines):
         else:
             expected = [tuple(b - a for a, b in zip((0,) + c, c + (section,)))
                         for c in itertools.combinations(range(1, section), k - 1)]
-        monkeypatch.setattr(stability, "_BAND_LINES", band_lines)
+        calls = _counting_runs(monkeypatch)
         listed = []
-        band = 0
-        while lines := stability.sample_band(cone, grid, section, band):
-            assert len(lines) <= band_lines
-            for prefix, runs in lines:
-                verdicts = _expand(runs)
-                points = _band_points(k, prefix, grid, section, len(verdicts))
-                assert verdicts == [_plain_verdict(cone, h) for h in points]
-                listed += points
-            band += 1
+        lines = 0
+        for prefix, runs in stability.sample_lines(cone, grid, section):
+            verdicts = _expand(runs)
+            points = _line_points(k, prefix, grid, section, len(verdicts))
+            assert verdicts == [_plain_verdict(cone, h) for h in points]
+            listed += points
+            lines += 1
         assert listed == expected, (case, grid, section)
+        # one kernel call per rectangle of a grid slab, or per section line
+        if grid and k > 1:
+            assert calls[0] == grid ** (k - 2) * -(-grid // band_lines)
+        else:
+            assert calls[0] == lines
 
 
-def test_sample_band_takes_one_sample_size():
+def test_sample_lines_takes_one_sample_size():
+    # a bad pair is refused at the call, before the first line is asked for
     cone = _line_cone(("A", 3, (1, 2)))
     for grid, section in ((0, 0), (3, 3), (-1, 0), (0, -2), (-1, 4)):
         with pytest.raises(ValueError):
-            stability.sample_band(cone, grid, section, 0)
+            stability.sample_lines(cone, grid, section)
 
 
-def test_sample_band_refuses_a_negative_band():
-    # band -1 once read the last lines of a grid slab, or band 0 of a section
-    cone = degree_cone(borel(build_root_system("A", 3)))
-    for grid, section in ((3, 0), (0, 9)):
-        assert stability.sample_band(cone, grid, section, 0)
-        with pytest.raises(ValueError, match="band -1"):
-            stability.sample_band(cone, grid, section, -1)
+def test_sample_lines_decides_a_line_when_it_is_read(monkeypatch):
+    # A4/B --section 45 has 903 lines: the first takes one kernel call
+    cone = degree_cone(borel(build_root_system("A", 4)))
+    calls = _counting_runs(monkeypatch)
+    lines = stability.sample_lines(cone, 0, 45)
+    assert calls[0] == 0
+    prefix, runs = next(lines)
+    assert calls[0] == 1
+    assert prefix == (1, 1)
+    assert _expand(runs) == [_plain_verdict(cone, (1, 1, j, 43 - j)) for j in range(1, 43)]
