@@ -9,7 +9,6 @@ from .errors import (
     MismatchedSystem,
     ModeMismatch,
     NotAmple,
-    NotLeviDominant,
     NotLeviTrivialDeterminant,
     NotMultiplicityFree,
     NotQuadratic,

@@ -376,16 +376,15 @@ def _sample_csv(cone, k, grid, section):
     """The CSV lines of a sample after its header, in chunks.
 
     ``sample_lines`` gives each line's leading coordinates, written once
-    as the line's head, and its verdicts as runs of equal verdicts; each
-    line is one chunk.  A grid point's text after the head is
-    ``"{j},{verdict}\n"``.  When k >= 2 every line reuses these texts, so
-    they are rendered once per sample for each j and each verdict that
-    occurs, and a grid line is its head joined to one slice of those
-    texts per run.  The one line of a k = 1 grid has nothing to reuse:
-    its runs are written straight from ``range``, at most
-    ``_PIECE_POINTS`` points a chunk.  A section point's text is
-    ``"{j},{rest - j},{verdict}\n"``, with rest the sum of the last two
-    parts, and the one point of a k = 1 section is
+    as the line's head, and its verdicts as maximal runs; each line is one
+    chunk.  A grid point's text after the head is ``"{j},{verdict}\n"``.
+    When k >= 2 every grid line has the labels ``str(j)`` for j in
+    1..grid, rendered once per sample, and a run is its slice of them
+    joined by its verdict's text and the head.  The one line of a k = 1
+    grid has nothing to reuse: its runs are written straight from
+    ``range``, at most ``_PIECE_POINTS`` points a chunk.  A section
+    point's text is ``"{j},{rest - j},{verdict}\n"``, with rest the sum
+    of the last two parts, and the one point of a k = 1 section is
     ``"{section},{verdict}\n"``.
     """
     lines = sample_lines(cone, grid, section)
@@ -398,17 +397,15 @@ def _sample_csv(cone, k, grid, section):
                 yield tail.join(map(str, range(a, min(a + _PIECE_POINTS, stop + 1)))) + tail
             start = stop + 1
         return
-    tails = {}
+    labels = list(map(str, range(1, grid + 1)))
     for prefix, runs in lines:
         head = "".join(f"{x}," for x in prefix)
         parts = []
         start = 0
         if grid:
             for stop, verdict in runs:
-                tail = tails.get(verdict)
-                if tail is None:
-                    tail = tails[verdict] = [f"{j},{verdict}\n" for j in range(1, grid + 1)]
-                parts += tail[start:stop]
+                sep = f",{verdict}\n"
+                parts.append((sep + head).join(labels[start:stop]) + sep)
                 start = stop
         elif k == 1:
             parts = [f"{section},{verdict}\n" for _, verdict in runs]

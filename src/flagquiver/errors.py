@@ -25,10 +25,6 @@ class ComponentVerificationFailed(FlagQuiverError):
     """A Levi component failed the highest-weight or dimension check."""
 
 
-class NotLeviDominant(FlagQuiverError):
-    """A quiver vertex weight is not dominant for the Levi subgroup."""
-
-
 class UnsupportedParabolic(FlagQuiverError):
     """Operation is only implemented for the Borel case."""
 

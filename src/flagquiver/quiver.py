@@ -65,10 +65,6 @@ class QuiverRep:
     def support(self):
         return tuple(i for i, d in enumerate(self.dims) if d > 0)
 
-    def map_is_nonzero(self, k):
-        m = self.maps.get(k)
-        return m is not None and any(any(x for x in row) for row in m)
-
     def __repr__(self):
         return f"QuiverRep(dims={self.dims})"
 

@@ -39,37 +39,33 @@ def _cache_key(p):
     return (p.system.series, p.system.rank, p.sigma)
 
 
-_COSET_COUNTS = {}
-
-
 def coset_count(p):
     """|W / W_P| without enumeration, from the heights of the roots.
 
     |W| is the product of (ht alpha + 1) / ht alpha over the positive
     roots, because the heights are dual to the exponents (Kostant 1959).
     A Levi root has the same height in the Levi subsystem, so the Levi
-    factors cancel and the product runs over the nilradical roots.  Every
-    budget check asks for it, so it is computed once per parabolic.
+    factors cancel and the product runs over the nilradical roots.
     """
-    key = _cache_key(p)
-    if key not in _COSET_COUNTS:
-        num = den = 1
-        for alpha in p.nilradical_weights:
-            height = p.system.height(alpha)
-            num *= height + 1
-            den *= height
-        _COSET_COUNTS[key] = _exact_div(num, den)
-    return _COSET_COUNTS[key]
+    num = den = 1
+    for alpha in p.nilradical_weights:
+        height = p.system.height(alpha)
+        num *= height + 1
+        den *= height
+    return _exact_div(num, den)
 
 
 def _check_budget(p, budget):
     """Refuse a parabolic whose |W/W_P| exceeds the budget.
 
-    Runs before any lookup in the expansion caches, so the answer does
+    Runs before any expansion is read from a cache, so the answer does
     not depend on what an earlier call with a larger budget has cached;
-    the count it reads does not depend on the budget.
+    the count does not depend on the budget.
     """
-    count = coset_count(p)
+    _check_count(coset_count(p), budget)
+
+
+def _check_count(count, budget):
     if count > budget:
         raise BudgetExceeded(f"|W/W_P| = {count} exceeds the budget {budget}")
 
@@ -157,15 +153,19 @@ def volume_polynomial(p, budget=DEFAULT_BUDGET):
     coefficient of alpha_j in alpha (simply laced, so alpha^vee has the
     same coefficients).  The linear forms are multiplied out exactly and
     every division is checked.  ``budget`` caps |W/W_P| as for
-    ``minimal_coset_reps``, checked before anything is expanded.
+    ``minimal_coset_reps``, checked before anything is expanded.  A cached
+    polynomial keeps its count beside it, so ``intersection_number``,
+    which asks once per monomial, does not recount.
     """
-    _check_budget(p, budget)
     key = _cache_key(p)
-    if key not in _VOLUME_CACHE:
+    count, volume = _VOLUME_CACHE.get(key) or (coset_count(p), None)
+    _check_count(count, budget)
+    if volume is None:
         if len(_VOLUME_CACHE) >= _VOLUME_CACHE_SIZE:
             del _VOLUME_CACHE[next(iter(_VOLUME_CACHE))]
-        _VOLUME_CACHE[key] = _expand_volume(p)
-    return _VOLUME_CACHE[key]
+        volume = _expand_volume(p)
+        _VOLUME_CACHE[key] = count, volume
+    return volume
 
 
 def _volume_constant(p):

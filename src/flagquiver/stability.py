@@ -318,7 +318,8 @@ def _runs(order, firsts, di, dj, lines, count):
     points ``start .. stop - 1`` of the line have that verdict, where
     ``start`` is the previous pair's stop (0 for the first pair).  The
     lower half of a part is decided first, so each line's pairs come in
-    order.
+    order, and the runs are maximal: no two adjacent pairs of a line have
+    the same verdict.
     """
     if count < 1 or not order:
         return [[(count, STABLE)] if count else [] for _ in range(lines)]
@@ -342,17 +343,14 @@ def _runs(order, firsts, di, dj, lines, count):
             if verdict is UNSTABLE:
                 _to_front(order, active[0])
                 if j1 > j0 and _doubled_bounds(active[0], _ends(start, degrees(i0, j1)))[1] < 0:
-                    line.append((j1 + 1, UNSTABLE))
+                    _extend(line, j1 + 1, UNSTABLE)
                     continue
             points = zip(*map(itertools.count, start, dj))
             verdicts = [verdict] + _verdicts(active, itertools.islice(points, 1, j1 - j0 + 1))
             if UNSTABLE in verdicts:
                 _to_front(order, active[0])
             for stop, verdict in enumerate(verdicts, j0 + 1):
-                if line and line[-1][1] == verdict:
-                    line[-1] = (stop, verdict)
-                else:
-                    line.append((stop, verdict))
+                _extend(line, stop, verdict)
             continue
         bounds = _ends(degrees(i0, j0), degrees(i1, j1))
         kept = []
@@ -375,8 +373,17 @@ def _runs(order, firsts, di, dj, lines, count):
                 continue
             verdict = STABLE
         for i in range(i0, i1 + 1):
-            runs[i].append((j1 + 1, verdict))
+            _extend(runs[i], j1 + 1, verdict)
     return runs
+
+
+def _extend(line, stop, verdict):
+    """Append the run of ``verdict`` up to ``stop`` to ``line``, merged into
+    the last run when that has the same verdict, so that runs are maximal."""
+    if line and line[-1][1] == verdict:
+        line[-1] = (stop, verdict)
+    else:
+        line.append((stop, verdict))
 
 
 def _to_front(rows, row):
@@ -415,11 +422,12 @@ def sample_lines(cone, grid, section):
 
     Returns an iterator of one ``(prefix, runs)`` per line, in sample
     order, which decides the lines as it is read, so it holds the runs of
-    one rectangle or one section line at a time.  ``prefix`` holds the line's leading coordinates
-    (all but the last for a grid, all but the last two for a section)
-    and ``runs`` its verdicts as in ``_runs``.  When k = 1 a sample is a
-    single line with prefix (): {1..grid}, or the one point (section,).
-    A bad pair of sizes is refused at the call.
+    one rectangle or one section line at a time.  ``prefix`` holds the
+    line's leading coordinates (all but the last for a grid, all but the
+    last two for a section) and ``runs`` its verdicts as maximal runs, as
+    in ``_runs``.  When k = 1 a sample is a single line with prefix ():
+    {1..grid}, or the one point (section,).  A bad pair of sizes is
+    refused at the call.
     """
     if min(grid, section) < 0 or (grid > 0) == (section > 0):
         raise ValueError("give one of grid and section, >= 1, and the other 0")
@@ -625,13 +633,10 @@ def boundary_2d(inequalities):
 
 
 def _vertex_gaps(rep, p, comps):
-    """The slope gap of each rep vertex's Levi component."""
-    by_top = {c.highest_weight: ci for ci, c in enumerate(comps)}
-    order = [by_top.get(w) for w in rep.quiver.vertices]
-    if None in order:
-        raise ValueError("rep vertices do not match the Levi components")
-    gaps = _slope_gaps(p, comps)
-    return [gaps[ci] for ci in order]
+    """The slope gap of each rep vertex, whose vertices must be ``comps`` in order."""
+    if rep.quiver.vertices != tuple(c.highest_weight for c in comps):
+        raise ValueError("rep vertices are not the Levi components in order")
+    return _slope_gaps(p, comps)
 
 
 def _character(rep, vertex_gaps, qvals, h):

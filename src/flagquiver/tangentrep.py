@@ -241,46 +241,6 @@ def _component(start, inside, nbrs):
     return seen
 
 
-def _topological_order(succ, pred):
-    """Kahn's order of an acyclic graph on bits, the lowest free bit first.
-
-    Bit 0 is the largest vertex, so the largest free vertex goes first.
-    Every arrow points from an earlier bit of the order to a later one.
-    """
-    indegree = [p.bit_count() for p in pred]
-    free = 0
-    for b, d in enumerate(indegree):
-        if not d:
-            free |= 1 << b
-    order = []
-    while free:
-        low = free & -free
-        free ^= low
-        b = low.bit_length() - 1
-        order.append(b)
-        out = succ[b]
-        while out:
-            low = out & -out
-            out ^= low
-            c = low.bit_length() - 1
-            indegree[c] -= 1
-            if not indegree[c]:
-                free |= low
-    if len(order) != len(succ):
-        raise ValueError("closed subsets require an acyclic quiver")
-    return order
-
-
-def _remap(mask, targets):
-    """The mask with each set bit ``i`` moved to bit ``targets[i]``."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out |= 1 << targets[low.bit_length() - 1]
-    return out
-
-
 def _byte_tables(support):
     """Tuple tables for a mask whose bit ``b`` is ``support[n - 1 - b]``.
 
@@ -321,18 +281,23 @@ def closed_subsets(rep, reduce=False):
     integers, and each is read into its tuple a byte at a time from tables
     whose entries are already sorted (``_byte_tables``).
 
-    The walk runs over Kahn's topological order with the largest free
-    vertex first.  Every arrow of a tangent rep points to a lower vertex,
-    so there that order is the bit layout itself.  Any other acyclic rep is
-    walked in its own order, and its masks are then mapped to the layout
-    bit by bit (``_remap``) before the same sort.
+    Every nonzero arrow must point to a lower vertex, that is to a higher
+    bit, so the walk runs over the bit layout itself; a rep in any other
+    order, a cycle included, raises ``ValueError``.  Both levels of a
+    tangent rep hold this.  At the Borel level an arrow runs from -alpha_s
+    to -alpha_b with alpha_s = alpha_a + alpha_b, and roots are listed by
+    height.  At the Levi level an arrow c_i -> c_j brackets the pieces of
+    degrees d_a and d_j onto the piece of degree d_i, an irreducible Levi
+    module (Azad-Barry-Seitz 1990), so the lowest root of degree d_i is
+    x + y with y of degree d_j and of lower height; components are listed
+    by the first root of each degree, so c_j comes first.
 
-    The walk splits the candidates ``inside`` on their first vertex v in
-    that order, which has no predecessor among them: closed subsets without
-    v, and those holding ``reach[v] & inside``, the descendants of v among
-    the candidates.  Dropping a source or a successor-closed part keeps
-    every path between the remaining candidates inside them, so that is
-    the closure of v.
+    The walk splits the candidates ``inside`` on their lowest bit v, which
+    has no predecessor among them: closed subsets without v, and those
+    holding ``reach[v] & inside``, the descendants of v among the
+    candidates.  Dropping a source or a successor-closed part keeps every
+    path between the remaining candidates inside them, so that is the
+    closure of v.
 
     A closed set is the union of ``reach[v]`` over the vertices v it was
     split on, and each of those masks is connected.  An arrow from one mask
@@ -341,15 +306,10 @@ def closed_subsets(rep, reduce=False):
     """
     if any(rep.dims[v] != 1 for v in rep.support):
         raise NotMultiplicityFree("closed subsets require all dims equal to 1")
-    succ, pred = _nonzero_successors(rep)
-    order = _topological_order(succ, pred)
-    n = len(order)
-    in_layout = order == list(range(n))
-    if not in_layout:
-        position = [0] * n
-        for i, b in enumerate(order):
-            position[b] = i
-        succ = [_remap(succ[b], position) for b in order]
+    succ = _nonzero_successors(rep)[0]
+    if any(out & ((2 << b) - 1) for b, out in enumerate(succ)):
+        raise ValueError("closed subsets require every nonzero arrow to point to a lower vertex")
+    n = len(succ)
     reach = [0] * n
     for i in reversed(range(n)):
         mask = 1 << i
@@ -382,8 +342,6 @@ def closed_subsets(rep, reduce=False):
             merged.append(joined)
         stack.append((inside ^ closure, chosen | closure, merged))
         stack.append((inside & (inside - 1), chosen, parts))
-    if not in_layout:
-        sets = [_remap(s, order) for s in sets]
     # popcount ascending, then mask descending, as one integer each
     for i, s in enumerate(sets):
         sets[i] = s.bit_count() << n | full ^ s

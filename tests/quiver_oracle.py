@@ -10,13 +10,23 @@ from flagquiver import (
     FULL,
     REDUCED,
     Arrow,
+    FlagQuiverError,
     InducedQuiver,
     MismatchedSystem,
-    NotLeviDominant,
     QuiverRep,
     RelationInstance,
     coroot_pairing,
 )
+
+
+class NotLeviDominant(FlagQuiverError):
+    """A quiver vertex weight is not dominant for the Levi subgroup."""
+
+
+def map_is_nonzero(rep, k):
+    """Whether arrow ``k`` of ``rep`` carries a map with a nonzero entry."""
+    m = rep.maps.get(k)
+    return m is not None and any(any(x for x in row) for row in m)
 
 
 def structure_constant(alpha, beta):
@@ -205,7 +215,7 @@ def connected_sets(rep, sets):
     """The vertex sets whose induced graph along nonzero arrows is connected."""
     nbrs = {v: set() for v in rep.support}
     for k, a in enumerate(rep.quiver.arrows):
-        if a.src in nbrs and a.dst in nbrs and rep.map_is_nonzero(k):
+        if a.src in nbrs and a.dst in nbrs and map_is_nonzero(rep, k):
             nbrs[a.src].add(a.dst)
             nbrs[a.dst].add(a.src)
     out = []

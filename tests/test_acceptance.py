@@ -30,6 +30,7 @@ from flagquiver import (
 from flagquiver.stability import STABLE, UNSTABLE, Surd, boundary_2d
 from flagquiver.tangentrep import VERDICT_SIMPLE
 from cone_oracle import cone_membership
+from quiver_oracle import map_is_nonzero
 
 
 def report(number, elapsed, limit, detail):
@@ -163,7 +164,7 @@ def test_criterion_5_sl4_subbundles_and_nonconvexity():
     arrows = [
         (a.src, a.dst)
         for k, a in enumerate(trep.rep.quiver.arrows)
-        if trep.rep.map_is_nonzero(k)
+        if map_is_nonzero(trep.rep, k)
     ]
     oracle = set()
     for size in range(1, 6):

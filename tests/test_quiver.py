@@ -6,7 +6,6 @@ from flagquiver import (
     FULL,
     REDUCED,
     ModeMismatch,
-    NotLeviDominant,
     NotMultiplicityFree,
     QuiverRep,
     RelationInstance,
@@ -21,7 +20,7 @@ from flagquiver import (
 )
 
 import quiver_oracle as oracle
-from quiver_oracle import induced_quiver
+from quiver_oracle import NotLeviDominant, induced_quiver
 
 
 def brute_force_arrows(p, vertices, labels):

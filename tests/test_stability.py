@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from flagquiver import (
     BOUNDARY,
+    Arrow,
     BudgetExceeded,
+    InducedQuiver,
     IntPoly,
     KingVerdict,
     NotAmple,
@@ -18,6 +20,7 @@ from flagquiver import (
     NotMultiplicityFree,
     NotQuadratic,
     NotTwoParameter,
+    QuiverRep,
     STABLE,
     SigmaCharacter,
     UNSTABLE,
@@ -266,6 +269,30 @@ def test_sigma_requires_ample():
     trep = tangent_rep(p)
     with pytest.raises(NotAmple):
         sigma_from_polarization(trep.levi_rep, p, (0, 1))
+
+
+def test_sigma_requires_the_levi_rep_in_component_order():
+    # the character is read off the components in order, so any other rep
+    # is refused: the Borel-level rep, and the Levi rep with two vertices
+    # swapped
+    p = build_parabolic(build_root_system("A", 3), [1, 3])
+    trep = tangent_rep(p)
+    q = trep.levi_rep.quiver
+    swap = [1, 0] + list(range(2, len(q.vertices)))
+    swapped = QuiverRep(
+        InducedQuiver(
+            [q.vertices[v] for v in swap],
+            [Arrow(swap[a.src], swap[a.dst], a.label) for a in q.arrows],
+            q.mode,
+            p,
+        ),
+        trep.levi_rep.dims,
+        trep.levi_rep.maps,
+    )
+    assert sigma_from_polarization(trep.levi_rep, p, (1, 1)).polarization == (1, 1)
+    for rep in (trep.rep, swapped):
+        with pytest.raises(ValueError):
+            sigma_from_polarization(rep, p, (1, 1))
 
 
 def test_polarization_entries_must_be_integers():
@@ -954,3 +981,16 @@ def test_sample_lines_decides_a_line_when_it_is_read(monkeypatch):
     assert calls[0] == 1
     assert prefix == (1, 1)
     assert _expand(runs) == [_plain_verdict(cone, (1, 1, j, 43 - j)) for j in range(1, 43)]
+
+
+@pytest.mark.parametrize("case,grid,section", [
+    (("A", 4, (1, 4)), 300, 0),
+    (("A", 3, (1, 2, 3)), 24, 0),
+    (("E", 6, (1, 2, 6)), 20, 0),
+    (("A", 4, (1, 2, 3, 4)), 0, 45),
+])
+def test_sample_runs_are_maximal(case, grid, section):
+    # adjacent runs of a line never share a verdict
+    for prefix, runs in stability.sample_lines(_line_cone(case), grid, section):
+        verdicts = [verdict for _, verdict in runs]
+        assert all(map(str.__ne__, verdicts, verdicts[1:])), prefix

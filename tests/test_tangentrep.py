@@ -11,12 +11,14 @@ from flagquiver import (
     InducedQuiver,
     NotMultiplicityFree,
     QuiverRep,
+    SigmaCharacter,
     borel,
     build_parabolic,
     build_root_system,
     closed_subsets,
     dominant_sum_check,
     hom_dimension,
+    is_sigma_semistable,
     simplicity_report,
     structure_report,
     tangent_rep,
@@ -32,6 +34,7 @@ from flagquiver.tangentrep import (
 
 from conftest import all_parabolics
 from hom_oracle import hom_dimension as oracle_hom_dimension
+from quiver_oracle import map_is_nonzero
 
 
 def little_rep(n_vertices, arrows, dims=None, scalars=None, rank=2):
@@ -65,7 +68,7 @@ def test_a2_borel_tangent_rep():
     a2 = build_root_system("A", 2)
     trep = tangent_rep(borel(a2))
     assert len(trep.rep.quiver.vertices) == 3
-    nonzero = [k for k in trep.rep.maps if trep.rep.map_is_nonzero(k)]
+    nonzero = [k for k in trep.rep.maps if map_is_nonzero(trep.rep, k)]
     assert len(nonzero) == 2
     assert structure_report(trep.rep) == (True, 1)
 
@@ -186,8 +189,12 @@ def test_closed_subsets_point_hyperplane():
 
 def test_closed_subsets_single_vertex_and_errors():
     assert closed_subsets(little_rep(1, [])) == []
+    assert closed_subsets(little_rep(2, [(1, 0)])) == [(0,)]
     with pytest.raises(NotMultiplicityFree):
         closed_subsets(little_rep(1, [], dims=(2,)))
+    # an arrow to a higher vertex, and a cycle
+    with pytest.raises(ValueError):
+        closed_subsets(little_rep(2, [(0, 1)]))
     with pytest.raises(ValueError):
         closed_subsets(little_rep(2, [(0, 1), (1, 0)]))
 
@@ -197,7 +204,7 @@ def brute_force_closed(rep, reduce=False):
     arrows = [
         (a.src, a.dst)
         for k, a in enumerate(rep.quiver.arrows)
-        if rep.map_is_nonzero(k)
+        if map_is_nonzero(rep, k)
     ]
     out = []
     for size in range(1, len(support)):
@@ -224,11 +231,12 @@ def _connected(vertices, arrows):
 
 
 @st.composite
-def dag_reps(draw):
+def dag_reps(draw, shuffled=True):
     """Random one-dimensional reps on at most 12 vertices, acyclic in a
-    shuffled vertex order, with some arrows carrying the zero map."""
+    shuffled vertex order, with some arrows carrying the zero map.  Unless
+    ``shuffled``, every arrow points to a lower vertex."""
     n = draw(st.integers(1, 12))
-    order = draw(st.permutations(range(n)))
+    order = draw(st.permutations(range(n))) if shuffled else range(n - 1, -1, -1)
     edges = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
         .filter(lambda e: e[0] < e[1]),
@@ -241,7 +249,7 @@ def dag_reps(draw):
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
-@given(dag_reps())
+@given(dag_reps(shuffled=False))
 def test_closed_subsets_match_brute_force_on_random_dags(rep):
     assert closed_subsets(rep) == brute_force_closed(rep)
     assert closed_subsets(rep, reduce=True) == brute_force_closed(rep, reduce=True)
@@ -278,11 +286,14 @@ def unordered_reps(draw):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(unordered_reps())
-def test_closed_subsets_in_canonical_order_on_unordered_reps(rep):
-    # the walk runs in Kahn's order here, and its masks are mapped to the
-    # sort layout; the brute force lists every subset of the support
+def test_closed_subsets_and_king_refuse_unordered_reps(rep):
+    # the walk runs over the vertex order itself, so a nonzero arrow to a
+    # higher vertex is refused rather than walked
     for reduce in (False, True):
-        assert closed_subsets(rep, reduce=reduce) == brute_force_closed(rep, reduce)
+        with pytest.raises(ValueError):
+            closed_subsets(rep, reduce=reduce)
+    with pytest.raises(ValueError):
+        is_sigma_semistable(rep, SigmaCharacter((0,) * len(rep.dims), (1,)))
 
 
 def coxeter_catalan(series, rank):
@@ -311,14 +322,32 @@ def test_borel_closed_subsets_are_the_catalan_many_root_ideals(series, rank):
 
 
 def test_closed_subsets_on_a_long_path():
-    # one closed subset per proper suffix; a walk that recursed once per
+    # one closed subset per proper prefix; a walk that recursed once per
     # vertex would overflow the interpreter stack here
     n = 1500
-    rep = little_rep(n, [(i, i + 1) for i in range(n - 1)], rank=60)
+    rep = little_rep(n, [(i + 1, i) for i in range(n - 1)], rank=60)
     for reduce in (False, True):
         sets = closed_subsets(rep, reduce=reduce)
         assert len(sets) == n - 1
-        assert sets[0] == (n - 1,) and sets[-1] == tuple(range(1, n))
+        assert sets[0] == (0,) and sets[-1] == tuple(range(n - 1))
+
+
+def _points_down(rep):
+    """Whether every nonzero arrow of ``rep`` points to a lower vertex."""
+    return all(a.src > a.dst for k, a in enumerate(rep.quiver.arrows) if map_is_nonzero(rep, k))
+
+
+def test_tangent_reps_point_every_arrow_to_a_lower_vertex():
+    # the order closed_subsets requires holds at both levels of every
+    # parabolic of rank <= 8, and of the A24 and D24 Borels
+    cases = [(s, r) for s in "AD" for r in range(1, 9) if s == "A" or r >= 4]
+    cases += [("E", 6), ("E", 7), ("E", 8)]
+    parabolics = [p for s, r in cases for p in all_parabolics(build_root_system(s, r))]
+    parabolics += [borel(build_root_system(s, 24)) for s in "AD"]
+    assert len(parabolics) == 1440
+    for p in parabolics:
+        trep = tangent_rep(p)
+        assert _points_down(trep.rep) and _points_down(trep.levi_rep), p
 
 
 def test_e7_borel_levi_closed_subset_counts():
