@@ -192,9 +192,11 @@ def test_closed_subsets_single_vertex_and_errors():
     assert closed_subsets(little_rep(2, [(1, 0)])) == [(0,)]
     with pytest.raises(NotMultiplicityFree):
         closed_subsets(little_rep(1, [], dims=(2,)))
-    # an arrow to a higher vertex, and a cycle
+    # an arrow to a higher vertex, a loop and a cycle
     with pytest.raises(ValueError):
         closed_subsets(little_rep(2, [(0, 1)]))
+    with pytest.raises(ValueError):
+        closed_subsets(little_rep(1, [(0, 0)]))
     with pytest.raises(ValueError):
         closed_subsets(little_rep(2, [(0, 1), (1, 0)]))
 
