@@ -22,7 +22,6 @@ from .stability import (
     _cone_inequalities,
     boundary_2d,
     degree_cone,
-    degree_membership,
     is_sigma_semistable,
     sample_lines,
     sigma_from_polarization,
@@ -474,24 +473,19 @@ def cmd_king(args):
     if len(h) != len(p.sigma):
         raise ValueError("polarization arity must match the number of marked roots")
     rep = tangent_rep(p).levi_rep
+    # a non-ample h is refused here, before the walk counts closed subsets
     character = sigma_from_polarization(rep, p, h)
-    # over the budget is refused after a non-ample h, before any enumeration
-    cone = degree_cone(p, args.budget)
-    verdict = is_sigma_semistable(rep, character)
+    verdict = is_sigma_semistable(rep, character, args.budget)
     data = {
         "polarization": list(h),
         "sigma_character": list(character.values),
         "semistable": verdict.semistable,
         "stable": verdict.stable,
         "witness": list(verdict.witness) if verdict.witness is not None else None,
-        "cone_verdict": degree_membership(cone, h),
+        "cone_verdict": verdict.cone_verdict,
     }
     if args.output == "text":
-        state = (
-            "stable"
-            if verdict.stable
-            else "semistable" if verdict.semistable else "UNSTABLE"
-        )
+        state = "stable" if verdict.stable else "semistable" if verdict.semistable else "UNSTABLE"
         _emit(args, f"{state} witness={data['witness']}\n")
     else:
         _emit(args, _dumps(data))

@@ -38,7 +38,7 @@ class NotMultiplicityFree(FlagQuiverError):
 
 
 class BudgetExceeded(FlagQuiverError):
-    """Weyl group enumeration would exceed the configured element budget."""
+    """An enumeration (cosets, closed subsets, sample points) would exceed the budget."""
 
 
 class NotAmple(FlagQuiverError):

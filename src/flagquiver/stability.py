@@ -659,15 +659,21 @@ class KingVerdict(NamedTuple):
     stable: bool
     witness: tuple | None
 
+    @property
+    def cone_verdict(self):
+        """The cone verdict: King slopes are -C(h) <d(S), w(h)> with C(h) > 0."""
+        return STABLE if self.stable else BOUNDARY if self.semistable else UNSTABLE
 
-def is_sigma_semistable(rep, sigma):
+
+def is_sigma_semistable(rep, sigma, budget=DEFAULT_BUDGET):
     """King (semi)stability of a multiplicity-free representation.
 
     Subrepresentations are exactly the closed vertex subsets, so the
     verdict is an exhaustive check; the witness is the first violating
-    (or slope-zero) proper subset in canonical order.
+    (or slope-zero) proper subset in canonical order.  ``budget`` caps the
+    number of closed subsets, counted by the walk (see ``closed_subsets``).
     """
-    return _king(rep, closed_subsets(rep, reduce=False), sigma)
+    return _king(rep, closed_subsets(rep, budget=budget), sigma)
 
 
 def _king(rep, subsets, sigma):
@@ -687,9 +693,7 @@ def _king(rep, subsets, sigma):
             return KingVerdict(False, False, s)
         if slope == 0 and zero is None:
             zero = s
-    if zero is not None:
-        return KingVerdict(True, False, zero)
-    return KingVerdict(True, True, None)
+    return KingVerdict(True, zero is None, zero)
 
 
 class EquivalenceReport(NamedTuple):
@@ -711,7 +715,7 @@ def equivalence_check(p, polarization_grid, budget=DEFAULT_BUDGET):
     rep = tangent_rep(p).levi_rep
     gaps = _vertex_gaps(rep, p, levi_components(p))
     qpolys = intersection_polynomial(p, budget)
-    subsets = closed_subsets(rep, reduce=False)
+    subsets = closed_subsets(rep, budget=budget)
     entries = []
     disagreements = []
     for h in polarization_grid:
@@ -720,8 +724,6 @@ def equivalence_check(p, polarization_grid, budget=DEFAULT_BUDGET):
         king = _king(rep, subsets, _character(rep, gaps, qvals, h))
         verdict = degree_membership(cone, h)
         entries.append((h, king.semistable, king.stable, verdict))
-        if king.semistable != (verdict != UNSTABLE) or king.stable != (
-            verdict == STABLE
-        ):
+        if king.cone_verdict != verdict:
             disagreements.append(entries[-1])
     return EquivalenceReport(tuple(entries), tuple(disagreements))

@@ -4,9 +4,10 @@ from itertools import chain, compress, repeat
 from operator import add, and_, getitem, or_
 from typing import NamedTuple
 
-from .errors import NotMultiplicityFree
+from .errors import BudgetExceeded, NotMultiplicityFree
 from .parabolic import borel, levi_components
 from .quiver import FULL, Arrow, InducedQuiver, QuiverRep
+from .schubert import DEFAULT_BUDGET
 
 VERDICT_SIMPLE = "SIMPLE"
 VERDICT_WEAKLY_SIMPLE_ONLY = "WEAKLY_SIMPLE_ONLY"
@@ -263,7 +264,7 @@ def _byte_tables(support):
     return tables
 
 
-def closed_subsets(rep, reduce=False):
+def closed_subsets(rep, reduce=False, budget=DEFAULT_BUDGET):
     """Proper nonempty vertex subsets closed under following nonzero arrows.
 
     These index the subrepresentations of a multiplicity-free
@@ -271,7 +272,8 @@ def closed_subsets(rep, reduce=False):
     union of two smaller closed subsets (equivalently, whose induced graph
     is disconnected) are dropped: their slope constraint is a mediant of
     the parts' and therefore redundant.  The sets come as sorted tuples,
-    ordered by size and then as tuples.
+    ordered by size and then as tuples.  Once the walk has kept more than
+    ``budget`` sets it raises ``BudgetExceeded``, before any tuple is built.
 
     Sets are bitmasks with bit ``b`` for the support vertex at position
     ``n - 1 - b``.  In that layout the output order is an integer order:
@@ -328,6 +330,8 @@ def closed_subsets(rep, reduce=False):
         if not inside:
             if chosen and chosen != full and (not reduce or len(parts) == 1):
                 sets.append(chosen)
+                if len(sets) > budget:
+                    raise BudgetExceeded(f"the closed-subset count exceeds the budget {budget}")
             continue
         v = (inside & -inside).bit_length() - 1
         closure = reach[v] & inside

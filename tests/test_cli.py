@@ -21,8 +21,10 @@ from flagquiver import (
     build_parabolic,
     build_root_system,
     cli,
+    closed_subsets,
     degree_cone,
     stability_cone,
+    tangent_rep,
 )
 
 from cone_oracle import cone_json, cone_membership
@@ -366,20 +368,43 @@ def test_cone_boundary_matches_closed_form(capsys):
 
 def test_budget_exit_code(capsys):
     # |W/W_P| is checked by formula before anything is expanded, so these
-    # exit at once; expanding E7/B or E8/B would not finish, and king
-    # refuses before it enumerates the closed subsets
-    for command in ("cone", "intersections", "king"):
+    # exit at once; expanding E7/B or E8/B would not finish
+    for command in ("cone", "intersections"):
         for rank in (7, 8):
             start = time.perf_counter()
-            extra = ["--polarization", ",".join(["1"] * rank)] if command == "king" else []
             code, out, err = run_cli(
                 capsys,
-                [command, "--series", "E", "--rank", str(rank), "--parabolic", "borel"] + extra,
+                [command, "--series", "E", "--rank", str(rank), "--parabolic", "borel"],
             )
             assert code == 4
             assert out == ""
             assert "exceeds the budget" in err
             assert time.perf_counter() - start < 30
+    # king expands nothing and counts closed subsets instead: E7/B and E8/B
+    # have 4 158 and 25 078, within the default budget
+    for rank in (7, 8):
+        code, out, _ = run_cli(
+            capsys,
+            ["king", "--series", "E", "--rank", str(rank), "--parabolic", "borel",
+             "--polarization", ",".join(["1"] * rank)],
+        )
+        assert code == 0
+        data = json.loads(out)
+        assert data["stable"] is True and data["cone_verdict"] == "STABLE"
+    # A24/B has about 4.9 * 10^12 closed subsets and D24/B more: the walk
+    # refuses once it has counted past the budget.  A child process with a
+    # timeout, so that a walk which does not stop cannot hang the suite
+    for series in ("A", "D"):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "flagquiver.cli", "king", "--series", series,
+             "--rank", "24", "--parabolic", "borel", "--polarization", ",".join(["1"] * 24)],
+            capture_output=True, env=cli_env(), timeout=30,
+        )
+        assert proc.returncode == 4
+        assert proc.stdout == b""
+        assert b"exceeds the budget" in proc.stderr
+        assert time.perf_counter() - start < 30
 
 
 def test_sample_over_the_budget_exits_before_any_work():
@@ -411,6 +436,36 @@ def test_sample_size_is_checked_against_the_budget(capsys, sample, count):
         assert len(out.splitlines()) == count + 1
 
 
+@pytest.mark.parametrize(
+    "polarization", [",".join(["0"] + ["1"] * 23), ",".join(["1"] * 23)],
+    ids=["non-ample", "wrong-arity"],
+)
+def test_king_refuses_bad_input_before_the_budget(capsys, polarization):
+    # A24/B is over the budget, but a wrong arity or a non-ample class is
+    # refused first, before the walk counts any closed subset
+    code, out, err = run_cli(
+        capsys,
+        ["king", "--series", "A", "--rank", "24", "--parabolic", "borel",
+         "--polarization", polarization],
+    )
+    assert (code, out) == (2, "")
+    assert "budget" not in err
+
+
+def test_king_budget_is_checked_against_the_closed_subset_count(capsys):
+    # A3/B has 12 closed subsets; the walk refuses once it counts past the budget
+    rep = tangent_rep(borel(build_root_system("A", 3))).levi_rep
+    assert len(closed_subsets(rep)) == 12
+    argv = ["king", "--series", "A", "--rank", "3", "--parabolic", "borel",
+            "--polarization", "1,1,1"]
+    code, out, err = run_cli(capsys, argv + ["--budget", "11"])
+    assert (code, out) == (4, "")
+    assert "the closed-subset count exceeds the budget 11" in err
+    code, out, _ = run_cli(capsys, argv + ["--budget", "12"])
+    assert code == 0
+    assert json.loads(out)["cone_verdict"] == "STABLE"
+
+
 def test_king_unstable_with_witness(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -437,12 +492,11 @@ def test_king_stable_interior(capsys):
 
 def test_king_e7_borel_is_stable_at_the_anticanonical_ray(capsys):
     # (1, ..., 1) is proportional to -K on a Borel, so both verdicts are
-    # STABLE; q(h) comes from the factored volume, so a budget that admits
-    # |W/W_P| = 2 903 040 costs no expansion
+    # STABLE; q(h) comes from the factored volume, so nothing is expanded
     code, out, _ = run_cli(
         capsys,
         ["king", "--series", "E", "--rank", "7", "--parabolic", "borel",
-         "--polarization", "1,1,1,1,1,1,1", "--budget", "3000000"],
+         "--polarization", "1,1,1,1,1,1,1"],
     )
     assert code == 0
     data = json.loads(out)

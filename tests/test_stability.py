@@ -1,5 +1,7 @@
 import functools
 import itertools
+import json
+import random
 from math import isqrt, prod
 from operator import mul
 
@@ -40,7 +42,7 @@ from flagquiver import (
     stability_cone,
     tangent_rep,
 )
-from flagquiver import schubert, stability
+from flagquiver import cli, schubert, stability
 from flagquiver.stability import ConeInequality, Surd, _line_runs
 from cone_oracle import cone_membership
 from conftest import all_parabolics
@@ -702,6 +704,31 @@ BOUNDARY_RAYS = [
     (("D", 4, (1, 2)), (1, 1)),
     (("D", 4, (2, 4)), (1, 1)),
 ]
+
+
+def test_king_cone_verdict_matches_the_degree_cone(capsys):
+    # king reads cone_verdict off its King pass; the degree cone over the
+    # reduced closed subsets decides it independently.  Multiples of the
+    # boundary rays give BOUNDARY, and seeded points of every parabolic of
+    # A2-A4 and D4 give STABLE and UNSTABLE
+    rng = random.Random(2009)
+    cases = [(case, tuple(g * r for r in ray)) for case, ray in BOUNDARY_RAYS for g in (1, 3)]
+    for series, rank in [("A", 2), ("A", 3), ("A", 4), ("D", 4)]:
+        for p in all_parabolics(build_root_system(series, rank)):
+            for _ in range(3):
+                h = tuple(rng.randint(1, 12) for _ in p.sigma)
+                cases.append(((series, rank, p.sigma), h))
+    seen = set()
+    for (series, rank, sigma), h in cases:
+        p = build_parabolic(build_root_system(series, rank), sigma)
+        argv = ["king", "--series", series, "--rank", str(rank), "--parabolic",
+                ",".join(map(str, sigma)), "--polarization", ",".join(map(str, h))]
+        assert cli.main(argv) == 0
+        verdict = json.loads(capsys.readouterr().out)["cone_verdict"]
+        assert verdict == degree_membership(degree_cone(p), h), (series, rank, sigma, h)
+        seen.add(verdict)
+    assert seen == {STABLE, BOUNDARY, UNSTABLE}
+
 
 # short lines go point by point; a line of more than 4 points per row is
 # decided in certified runs

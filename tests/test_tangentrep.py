@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from flagquiver import (
     FULL,
     Arrow,
+    BudgetExceeded,
     InducedQuiver,
     NotMultiplicityFree,
     QuiverRep,
@@ -24,6 +25,7 @@ from flagquiver import (
     tangent_rep,
     verify_flatness,
 )
+from flagquiver import tangentrep
 from flagquiver.rootsys import RootSystemData, is_dominant
 from flagquiver.tangentrep import (
     VERDICT_INCONCLUSIVE,
@@ -350,6 +352,24 @@ def test_tangent_reps_point_every_arrow_to_a_lower_vertex():
     for p in parabolics:
         trep = tangent_rep(p)
         assert _points_down(trep.rep) and _points_down(trep.levi_rep), p
+
+
+def test_closed_subsets_are_refused_past_the_budget_before_any_tuple(monkeypatch):
+    # the walk counts the sets it keeps and refuses one past the budget,
+    # before any set is read into a tuple
+    levi = tangent_rep(borel(build_root_system("A", 4))).levi_rep
+    count = coxeter_catalan("A", 4) - 2
+    reduced = len(closed_subsets(levi, reduce=True))
+    assert closed_subsets(levi, budget=count) == closed_subsets(levi)
+    assert closed_subsets(levi, reduce=True, budget=reduced) == closed_subsets(levi, reduce=True)
+
+    def refuse(*args):
+        raise AssertionError("a tuple was built")
+
+    monkeypatch.setattr(tangentrep, "_byte_tables", refuse)
+    for reduce, budget in ((False, count - 1), (True, reduced - 1), (False, 0)):
+        with pytest.raises(BudgetExceeded, match=f"exceeds the budget {budget}"):
+            closed_subsets(levi, reduce=reduce, budget=budget)
 
 
 def test_e7_borel_levi_closed_subset_counts():
